@@ -4,12 +4,17 @@ Subcommands:
 
   generate <system> --out FILE     write a benchmark panel as CSV
   analyze <csv> --out DIR          full pairwise discovery, report files
-  ssad <csv> --x A --y B           one ordered pair's band-exit score
+  ssad <csv> --x A --y B           the SSAD analyze reports for (A, B)
   tssavr <csv> --x A --y B         one ordered pair's variance ratio
   baseline granger|ccm <csv> --x A --y B
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed input, analysis failure).  The default seed is 0, or the value
+ssad scores the pair through the same code as analyze, seeded from the
+sorted pair names, so swapping --x and --y prints the exact negation.
+generate takes --tau-d only for two_species_bidir.
+
+Exit codes: 0 success, 1 usage error (including generator parameters the
+system does not take), 2 data error (unreadable or malformed input,
+analysis failure).  The default seed is 0, or the value
 of the SIGAREA_SEED environment variable when set; an explicit --seed
 always wins.
 """
@@ -24,10 +29,8 @@ from . import io as sio
 from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
-from .nulltest import ssad_pair
-from .pipeline import RunConfig, discover
-from .series import difference, scale_unit_range
-from .synth import gen_four_species, gen_two_species_bidir, gen_two_species_sync
+from .pipeline import RunConfig, discover, prepare_channel, score_pair
+from .synth import SystemSpec, generate
 
 
 class UsageError(Exception):
@@ -76,7 +79,7 @@ def _build_parser() -> _Parser:
                      help="sample count (default 3000 for the bidirectional "
                           "system, 1000 otherwise)")
     gen.add_argument("--tau-d", type=int, default=0, choices=[0, 2, 4],
-                     help="X->Y delay of the bidirectional system")
+                     help="X->Y delay; two_species_bidir only")
     gen.add_argument("--seed", type=int, default=None,
                      help="accepted for interface symmetry; the map "
                           "generators are deterministic")
@@ -126,12 +129,10 @@ def _generate(args: argparse.Namespace) -> int:
     steps = args.steps
     if steps is None:
         steps = 3000 if args.system == "two_species_bidir" else 1000
-    if args.system == "two_species_sync":
-        panel = gen_two_species_sync(steps)
-    elif args.system == "two_species_bidir":
-        panel = gen_two_species_bidir(steps, args.tau_d)
-    else:
-        panel = gen_four_species(steps)
+    try:
+        panel = generate(SystemSpec(args.system, steps, args.tau_d))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     sio.write_csv(panel, args.out)
     print(f"wrote {panel.length} samples of {', '.join(panel.names)} to {args.out}")
     return 0
@@ -170,25 +171,13 @@ def _analyze(args: argparse.Namespace) -> int:
 def _prepared_pair(args: argparse.Namespace):
     panel, _ = sio.read_csv(args.csv, args.interp_step)
     order = args.difference_order
-    a = scale_unit_range(difference(panel.get(args.x), order))
-    b = scale_unit_range(difference(panel.get(args.y), order))
-    return a, b
+    return [prepare_channel(panel.get(name), order) for name in (args.x, args.y)]
 
 
 def _ssad(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    a, b = _prepared_pair(args)
-    forward, _ = ssad_pair(
-        a,
-        b,
-        window_length=config.window_length,
-        n_shuffles=config.n_shuffles,
-        seed=config.seed,
-        stride=config.effective_stride,
-        rho=config.rho,
-        alpha=config.alpha,
-    )
-    print(sio.format_float(forward.score))
+    forward, _, _ = score_pair(*_prepared_pair(args), config)
+    print(sio.format_float(forward.ssad))
     return 0
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -100,12 +100,15 @@ def read_csv(
             )
         for c, cell in enumerate(row):
             try:
-                body[r - 2, c] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise NonNumericCell(
                     f"{path}: line {r}, column {header[c]!r}: "
-                    f"{cell.strip()!r} is not a number"
-                ) from None
+                    f"{cell.strip()!r} is not a finite number"
+                )
+            body[r - 2, c] = value
     if body.shape[0] == 0:
         raise ParseError(f"{path}: no data rows")
 
@@ -157,37 +160,24 @@ _PAIR_COLUMNS = (
     "ccm_max_r2",
     "error",
 )
-
-
-def _pair_cells(report: PairReport) -> Iterator[str]:
-    yield report.pair[0]
-    yield report.pair[1]
-    for value in (report.ssad, report.abs_ssad, report.ts_savr):
-        yield "" if value is None else format_float(value)
-    yield report.direction or ""
-    yield "true" if report.edge else "false"
-    for value in (report.granger_min_p, report.ccm_max_r2):
-        yield "" if value is None else format_float(value)
-    yield report.error or ""
+# report.json leaves out the baseline and error keys of a pair that lacks them.
+_JSON_ALWAYS = _PAIR_COLUMNS[:7]
 
 
 def _pair_record(report: PairReport) -> dict:
-    record: dict = {
-        "i": report.pair[0],
-        "j": report.pair[1],
-        "ssad": report.ssad,
-        "abs_ssad": report.abs_ssad,
-        "ts_savr": report.ts_savr,
-        "direction": report.direction,
-        "edge": report.edge,
-    }
-    if report.granger_min_p is not None:
-        record["granger_min_p"] = report.granger_min_p
-    if report.ccm_max_r2 is not None:
-        record["ccm_max_r2"] = report.ccm_max_r2
-    if report.error is not None:
-        record["error"] = report.error
-    return record
+    """One pairs.csv row as a column -> value mapping, None where unset."""
+    values = (*report.pair, *(getattr(report, c) for c in _PAIR_COLUMNS[2:]))
+    return dict(zip(_PAIR_COLUMNS, values))
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _csv_quote(value)
+    return format_float(value)
 
 
 def _safe_name(name: str) -> str:
@@ -212,18 +202,14 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
     document = {
         "config": dataclasses.asdict(result.config),
         "nodes": list(result.nodes),
-        "pairs": [_pair_record(r) for r in result.reports],
+        "pairs": [
+            {k: v for k, v in _pair_record(r).items()
+             if v is not None or k in _JSON_ALWAYS}
+            for r in result.reports
+        ],
         "graph": {
             "nodes": list(result.graph.nodes),
-            "edges": [
-                {
-                    "source": e.source,
-                    "target": e.target,
-                    "label": e.label,
-                    "confidence": e.confidence,
-                }
-                for e in result.graph.edges
-            ],
+            "edges": [dataclasses.asdict(e) for e in result.graph.edges],
         },
     }
     report_path = os.path.join(out_dir, "report.json")
@@ -232,23 +218,17 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
 
     pairs_lines = [",".join(_PAIR_COLUMNS)]
     for report in result.reports:
-        pairs_lines.append(",".join(_csv_quote(c) for c in _pair_cells(report)))
+        pairs_lines.append(",".join(map(_csv_cell, _pair_record(report).values())))
     pairs_path = os.path.join(out_dir, "pairs.csv")
     _atomic_write(pairs_path, "\n".join(pairs_lines) + "\n")
     written.append(pairs_path)
 
     for (i, j), trace in result.traces.items():
+        band = trace.band
+        columns = (trace.actual.values, band.mu, band.lower, band.upper)
         rows = ["window_index,actual_area,mu,lower,upper"]
-        for w in range(trace.actual.size):
-            rows.append(
-                ",".join(
-                    [str(w + 1)]
-                    + [
-                        format_float(arr[w])
-                        for arr in (trace.actual, trace.mu, trace.lower, trace.upper)
-                    ]
-                )
-            )
+        for w in range(trace.actual.count):
+            rows.append(",".join([str(w + 1)] + [format_float(arr[w]) for arr in columns]))
         trace_path = os.path.join(
             out_dir, f"trace_{_safe_name(i)}_{_safe_name(j)}.csv"
         )

@@ -20,7 +20,12 @@ import numpy as np
 from .errors import InsufficientData, LengthMismatch
 from .rng import derive_seed, permutation
 from .series import Series
-from .signature import AreaSequence, _batch_pair_areas, signed_area_sequence
+from .signature import (
+    AreaSequence,
+    _batch_pair_areas,
+    check_windows,
+    signed_area_sequence,
+)
 
 
 def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
@@ -103,12 +108,7 @@ def null_ensemble(
     """
     if n_shuffles < 2:
         raise InsufficientData("need at least 2 shuffles for a null ensemble")
-    if len(a) != len(b):
-        raise LengthMismatch(
-            f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
-        )
-    # Validate window/stride once via the public op, then batch the rest.
-    signed_area_sequence(a, b, window_length, stride)
+    check_windows(a, b, window_length, stride)
     t_len = len(a)
     a_rows = np.empty((n_shuffles, t_len))
     b_rows = np.empty((n_shuffles, t_len))
@@ -202,30 +202,3 @@ def ssad_pair_detail(
     forward = ssad(actual, band)
     reverse = SsadResult((b.name, a.name), -forward.per_step, -forward.score)
     return forward, reverse, actual, band
-
-
-def ssad_pair(
-    a: Series,
-    b: Series,
-    *,
-    window_length: int = 10,
-    n_shuffles: int = 1000,
-    seed: int = 0,
-    stride: int = 1,
-    rho: float = 1.0,
-    alpha: float = 0.05,
-    pooled: bool = True,
-) -> tuple[SsadResult, SsadResult]:
-    """SSAD for (a, b) and (b, a) from one shared ensemble."""
-    forward, reverse, _, _ = ssad_pair_detail(
-        a,
-        b,
-        window_length=window_length,
-        n_shuffles=n_shuffles,
-        seed=seed,
-        stride=stride,
-        rho=rho,
-        alpha=alpha,
-        pooled=pooled,
-    )
-    return forward, reverse

@@ -15,14 +15,13 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 from .baselines import ccm, granger
 from .direction import ts_savr, shift_profile
 from .errors import SigAreaError
-from .nulltest import ssad_pair_detail
+from .nulltest import NullBand, ssad_pair_detail
 from .rng import derive_seed
-from .series import Panel, difference, scale_unit_range
+from .series import Panel, Series, difference, scale_unit_range
+from .signature import AreaSequence
 from .synth import gen_white_noise
 
 
@@ -121,20 +120,10 @@ class CausalGraph:
 
 @dataclass(frozen=True)
 class PairTrace:
-    """Per-window actual areas and null band for one sorted pair."""
+    """Per-window actual areas and the null band for one name-ordered pair."""
 
-    pair: tuple[str, str]
-    actual: np.ndarray
-    mu: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pair", tuple(self.pair))
-        for name in ("actual", "mu", "lower", "upper"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True).reshape(-1)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    actual: AreaSequence
+    band: NullBand
 
 
 @dataclass(frozen=True)
@@ -160,21 +149,95 @@ def _noise_name(taken: tuple[str, ...]) -> str:
     raise ValueError("both 'W' and 'W_noise' are taken; rename a channel")
 
 
-def _prepare(panel: Panel, config: RunConfig) -> Panel:
-    prepped = [
-        scale_unit_range(difference(s, config.difference_order)) for s in panel.series
-    ]
+def prepare_channel(s: Series, difference_order: int) -> Series:
+    """Difference (order 0 leaves the series untouched), then scale to unit range."""
+    return scale_unit_range(difference(s, difference_order))
+
+
+def _error_text(exc: SigAreaError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _prepare(panel: Panel, config: RunConfig) -> dict[str, Series | str]:
+    """Each channel prepared on its own; one that fails keeps its error text."""
+    prepared: dict[str, Series | str] = {}
+    for s in panel.series:
+        try:
+            prepared[s.name] = prepare_channel(s, config.difference_order)
+        except SigAreaError as exc:
+            prepared[s.name] = _error_text(exc)
     if config.add_noise_channel:
         name = _noise_name(panel.names)
-        noise = gen_white_noise(
-            len(prepped[0]), derive_seed(config.seed, "noise"), name
-        )
-        prepped.append(scale_unit_range(noise))
-    return Panel(tuple(prepped))
+        # As long as a differenced channel, whether or not any prepared; when
+        # that is under 2 samples every channel failed and no pair uses the noise.
+        length = max(panel.length - config.difference_order, 2)
+        noise = gen_white_noise(length, derive_seed(config.seed, "noise"), name)
+        prepared[name] = scale_unit_range(noise)
+    return prepared
 
 
 def _supports(label: str, source: str, target: str) -> bool:
     return label in (f"{source}->{target}", f"{source}<->{target}", f"{target}<->{source}")
+
+
+def score_pair(
+    a: Series, b: Series, config: RunConfig
+) -> tuple[PairReport, PairReport, PairTrace]:
+    """Score one pair of prepared channels; the only code that does so.
+
+    The pair is put in name order and seeded from (seed, "pair", sorted
+    names), so the result does not depend on argument order.  The band test
+    runs once and the other ordering takes the exactly negated SSAD; TS-SAVR
+    and the optional baselines run in both orders.  Returns the (a, b) and
+    (b, a) reports and the name-ordered pair's trace; a failing step raises
+    its SigAreaError.
+    """
+    swapped = b.name < a.name
+    if swapped:
+        a, b = b, a
+    fwd, rev, actual, band = ssad_pair_detail(
+        a,
+        b,
+        window_length=config.window_length,
+        n_shuffles=config.n_shuffles,
+        seed=derive_seed(config.seed, "pair", a.name, b.name),
+        stride=config.effective_stride,
+        rho=config.rho,
+        alpha=config.alpha,
+        pooled=config.pooled,
+    )
+    # Each step runs for both orders before the next starts: a pair failing
+    # in several steps reports the earliest step's error, and the two
+    # lagged regressions stay back to back (interleaving them with the other
+    # steps measured about 15% more process CPU, likely idle BLAS threads).
+    orders = ((a, b), (b, a))
+    verdicts = [
+        ts_savr(shift_profile(x, y, config.tau_min, config.tau_max)) for x, y in orders
+    ]
+    granger_p = [None, None]
+    if config.run_granger:
+        granger_p = [granger(y, x, config.granger_tau_max).min_p for x, y in orders]
+    ccm_r2 = [ccm(x, y).max_r2 for x, y in orders] if config.run_ccm else [None, None]
+    abs_ssad = abs(fwd.score)
+    passes = config.theta is not None and abs_ssad >= config.theta
+    reports = [
+        PairReport(
+            (x.name, y.name),
+            ssad=result.score,
+            abs_ssad=abs_ssad,
+            ts_savr=verdict.ratio,
+            direction=verdict.label,
+            edge=passes and _supports(verdict.label, x.name, y.name),
+            granger_min_p=p,
+            ccm_max_r2=r2,
+        )
+        for (x, y), result, verdict, p, r2 in zip(
+            orders, (fwd, rev), verdicts, granger_p, ccm_r2
+        )
+    ]
+    if swapped:
+        reports.reverse()
+    return reports[0], reports[1], PairTrace(actual, band)
 
 
 def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
@@ -182,89 +245,38 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
 
     Each series is differenced (order 0 = untouched) and scaled; an
     optional white-noise control channel is appended and scaled the same
-    way.  Unordered pairs are processed in lexicographic name order with
-    per-pair seeds derived from (seed, "pair", sorted names), so results do
-    not depend on column order or on how pairs are scheduled.  A failing
-    pair is reported with its error message; other pairs are unaffected.
+    way.  Unordered pairs are scored by score_pair in lexicographic name
+    order, so results do not depend on column order or on how pairs are
+    scheduled.  A channel that cannot be prepared, or a pair that fails, is
+    reported with its error message; other pairs are unaffected.
     """
     config = config or RunConfig()
     if len(panel.series) < 2:
         raise ValueError("need at least 2 channels to form pairs")
-    scaled = _prepare(panel, config)
-    stride = config.effective_stride
+    prepared = _prepare(panel, config)
 
     reports: list[PairReport] = []
     edges: list[GraphEdge] = []
     traces: dict[tuple[str, str], PairTrace] = {}
-    for i, j in combinations(sorted(scaled.names), 2):
-        a, b = scaled.get(i), scaled.get(j)
-        pair_seed = derive_seed(config.seed, "pair", i, j)
-        try:
-            fwd, rev, actual, band = ssad_pair_detail(
-                a,
-                b,
-                window_length=config.window_length,
-                n_shuffles=config.n_shuffles,
-                seed=pair_seed,
-                stride=stride,
-                rho=config.rho,
-                alpha=config.alpha,
-                pooled=config.pooled,
-            )
-            v_fwd = ts_savr(shift_profile(a, b, config.tau_min, config.tau_max))
-            v_rev = ts_savr(shift_profile(b, a, config.tau_min, config.tau_max))
-            extras: dict[str, dict[str, float]] = {"granger": {}, "ccm": {}}
-            if config.run_granger:
-                extras["granger"]["fwd"] = granger(b, a, config.granger_tau_max).min_p
-                extras["granger"]["rev"] = granger(a, b, config.granger_tau_max).min_p
-            if config.run_ccm:
-                extras["ccm"]["fwd"] = ccm(a, b).max_r2
-                extras["ccm"]["rev"] = ccm(b, a).max_r2
-        except SigAreaError as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            reports.append(PairReport((i, j), error=message))
-            reports.append(PairReport((j, i), error=message))
+    for i, j in combinations(sorted(prepared), 2):
+        a, b = prepared[i], prepared[j]
+        error = a if isinstance(a, str) else b if isinstance(b, str) else None
+        if error is None:
+            try:
+                fwd, rev, traces[(i, j)] = score_pair(a, b, config)
+            except SigAreaError as exc:
+                error = _error_text(exc)
+        if error is not None:
+            reports += (PairReport((i, j), error=error), PairReport((j, i), error=error))
             continue
+        reports += [fwd, rev]
+        if config.theta is None or fwd.abs_ssad >= config.theta:
+            source, target = (j, i) if fwd.direction == f"{j}->{i}" else (i, j)
+            edges.append(GraphEdge(source, target, fwd.direction, fwd.abs_ssad))
 
-        abs_ssad = abs(fwd.score)
-        passes = config.theta is None or abs_ssad >= config.theta
-        reports.append(
-            PairReport(
-                (i, j),
-                ssad=fwd.score,
-                abs_ssad=abs_ssad,
-                ts_savr=v_fwd.ratio,
-                direction=v_fwd.label,
-                edge=config.theta is not None and passes and _supports(v_fwd.label, i, j),
-                granger_min_p=extras["granger"].get("fwd"),
-                ccm_max_r2=extras["ccm"].get("fwd"),
-            )
-        )
-        reports.append(
-            PairReport(
-                (j, i),
-                ssad=rev.score,
-                abs_ssad=abs_ssad,
-                ts_savr=v_rev.ratio,
-                direction=v_rev.label,
-                edge=config.theta is not None and passes and _supports(v_rev.label, j, i),
-                granger_min_p=extras["granger"].get("rev"),
-                ccm_max_r2=extras["ccm"].get("rev"),
-            )
-        )
-        traces[(i, j)] = PairTrace(
-            (i, j), actual.values, band.mu, band.lower, band.upper
-        )
-        if passes:
-            if v_fwd.label == f"{i}->{j}":
-                edges.append(GraphEdge(i, j, v_fwd.label, abs_ssad))
-            elif v_fwd.label == f"{j}->{i}":
-                edges.append(GraphEdge(j, i, v_fwd.label, abs_ssad))
-            else:
-                edges.append(GraphEdge(i, j, v_fwd.label, abs_ssad))
-
-    graph = CausalGraph(scaled.names, tuple(edges))
-    return DiscoveryResult(scaled.names, tuple(reports), graph, traces, config)
+    nodes = tuple(prepared)
+    graph = CausalGraph(nodes, tuple(edges))
+    return DiscoveryResult(nodes, tuple(reports), graph, traces, config)
 
 
 def rank_pairs(reports: tuple[PairReport, ...] | list[PairReport]) -> list[PairReport]:

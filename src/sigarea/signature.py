@@ -195,15 +195,8 @@ def _batch_pair_areas(
     return 0.5 * (windowed + corr)
 
 
-def signed_area_sequence(
-    a: Series, b: Series, window_length: int, stride: int = 1
-) -> AreaSequence:
-    """Signed areas of the pair (a, b) over sliding windows.
-
-    Window w covers samples [w * stride, w * stride + window_length - 1];
-    stride 1 slides one sample at a time (T - l + 1 windows), stride =
-    window_length tiles the series with non-overlapping windows.
-    """
+def check_windows(a: Series, b: Series, window_length: int, stride: int) -> None:
+    """Raise unless the pair (a, b) can be cut into the requested windows."""
     if len(a) != len(b):
         raise LengthMismatch(
             f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
@@ -216,6 +209,18 @@ def signed_area_sequence(
         raise WindowTooLong(
             f"window {window_length} exceeds series length {len(a)}"
         )
+
+
+def signed_area_sequence(
+    a: Series, b: Series, window_length: int, stride: int = 1
+) -> AreaSequence:
+    """Signed areas of the pair (a, b) over sliding windows.
+
+    Window w covers samples [w * stride, w * stride + window_length - 1];
+    stride 1 slides one sample at a time (T - l + 1 windows), stride =
+    window_length tiles the series with non-overlapping windows.
+    """
+    check_windows(a, b, window_length, stride)
     values = _batch_pair_areas(
         a.values[None, :], b.values[None, :], window_length, stride
     )[0]

@@ -24,9 +24,8 @@ from sigarea import (
     discover,
     gen_two_species_sync,
     gen_white_noise,
+    gen_four_species,
     read_csv,
-    scale_unit_range,
-    ssad_pair,
     window_count,
     write_csv,
     write_report,
@@ -94,6 +93,9 @@ def test_csv_rejects_malformed_inputs(tmp_path):
         load("a,b\n1,2\n3\n")
     with pytest.raises(NonNumericCell, match="line 2, column 'b'"):
         load("a,b\n1,oops\n")
+    for cell in ("nan", "inf", "-inf"):
+        with pytest.raises(NonNumericCell, match="line 3, column 'a'"):
+            load(f"a,b\n1,2\n{cell},4\n")
     with pytest.raises(ParseError, match="no time column"):
         load("a,b\n1,2\n3,4\n", interpolation_step=1.0)
     with pytest.raises(ParseError, match="no data columns"):
@@ -255,22 +257,31 @@ def test_cli_analyze_runs_are_byte_identical(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_cli_ssad_matches_library_call(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SIGAREA_SEED", raising=False)
+def test_cli_ssad_matches_discover(tmp_path, capsys):
     csv_path = _sync_csv(tmp_path)
     capsys.readouterr()
-    assert cli.main(["ssad", csv_path, "--x", "X", "--y", "Y", "--n-shuffles", "100"]) == 0
-    printed = capsys.readouterr().out.strip()
+    printed = {}
+    for x, y in (("X", "Y"), ("Y", "X")):
+        args = ["ssad", csv_path, "--x", x, "--y", y, "--n-shuffles", "100", "--seed", "3"]
+        assert cli.main(args) == 0
+        printed[(x, y)] = capsys.readouterr().out.strip()
     panel, _ = read_csv(csv_path)
-    fwd, _ = ssad_pair(
-        scale_unit_range(panel.get("X")),
-        scale_unit_range(panel.get("Y")),
-        window_length=10,
-        n_shuffles=100,
-        seed=0,
-        stride=10,
-    )
-    assert printed == format_float(fwd.score)
+    result = discover(panel, RunConfig(n_shuffles=100, seed=3))
+    for report in result.reports:
+        assert printed[report.pair] == format_float(report.ssad)
+    assert float(printed[("Y", "X")]) == -float(printed[("X", "Y")])
+
+
+def test_cli_analyze_survives_a_constant_channel(tmp_path):
+    four = gen_four_species(300)
+    csv_path = str(tmp_path / "const.csv")
+    write_csv(Panel(four.series + (Series("C", np.full(300, 0.5)),)), csv_path)
+    out = tmp_path / "run"
+    assert cli.main(["analyze", csv_path, "--out", str(out), "--n-shuffles", "50"]) == 0
+    pairs = json.loads((out / "report.json").read_text())["pairs"]
+    broken = [p for p in pairs if "C" in (p["i"], p["j"])]
+    assert len(broken) == 8
+    assert all(p["error"].startswith("ConstantSeries") for p in broken)
 
 
 def test_cli_tssavr_output_format(tmp_path, capsys):
@@ -341,6 +352,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,oops\n")
     assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_text("a,b\n1,2\nnan,4\n3,5\n")
+    assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    four = str(tmp_path / "four.csv")
+    assert cli.main(["generate", "four_species", "--tau-d", "2", "--out", four]) == 1
+    assert "two_species_bidir" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point_smoke():

@@ -24,7 +24,6 @@ from sigarea import (
     shuffle,
     signed_area_sequence,
     ssad,
-    ssad_pair,
     ssad_pair_detail,
 )
 from sigarea.rng import derive_seed
@@ -185,7 +184,7 @@ def test_ssad_length_mismatch():
 
 def test_ssad_pair_antisymmetric_by_construction(sync_scaled):
     xs, ys = sync_scaled
-    fwd, rev = ssad_pair(
+    fwd, rev, _, _ = ssad_pair_detail(
         xs, ys, window_length=10, n_shuffles=200, seed=31, stride=10
     )
     assert fwd.score + rev.score == 0.0
@@ -209,13 +208,13 @@ def test_driven_pair_scores_high_and_noise_pair_low(sync_scaled):
     # Strongly coupled logistic pair: score lands in a wide band around the
     # reference value 0.71; an independent noise channel stays near zero.
     xs, ys = sync_scaled
-    fwd, _ = ssad_pair(
+    fwd, _, _, _ = ssad_pair_detail(
         xs, ys, window_length=10, n_shuffles=1000, seed=7, stride=10
     )
     assert 0.55 <= fwd.score <= 0.85
 
     wn = scale_unit_range(gen_white_noise(1000, derive_seed(11, "noise")))
-    xw, _ = ssad_pair(
+    xw, _, _, _ = ssad_pair_detail(
         xs,
         wn,
         window_length=10,

@@ -9,9 +9,11 @@ from sigarea import (
     RunConfig,
     Series,
     discover,
+    gen_four_species,
     gen_two_species_sync,
     gen_white_noise,
     rank_pairs,
+    score_pair,
     window_count,
 )
 from sigarea.rng import derive_seed
@@ -87,11 +89,10 @@ def test_discover_finds_the_planted_link(sync_result):
 def test_trace_reproduces_the_reported_score(sync_result):
     trace = sync_result.traces[("X", "Y")]
     expected_windows = window_count(1000, 10, 10)
-    assert len(trace.actual) == expected_windows
-    assert len(trace.lower) == len(trace.upper) == len(trace.mu) == expected_windows
-    per_step = np.where(
-        trace.actual <= trace.lower, -1, np.where(trace.actual >= trace.upper, 1, 0)
-    )
+    actual, band = trace.actual.values, trace.band
+    assert len(actual) == expected_windows
+    assert len(band.lower) == len(band.upper) == len(band.mu) == expected_windows
+    per_step = np.where(actual <= band.lower, -1, np.where(actual >= band.upper, 1, 0))
     assert per_step.mean() == _report(sync_result, ("X", "Y")).ssad
 
 
@@ -137,6 +138,42 @@ def test_failing_pair_is_isolated():
     ranked = rank_pairs(result.reports)
     assert ranked[0].pair == ("X", "Y")
     assert [r.pair for r in ranked[1:]] == [("P", "X"), ("P", "Y")]
+
+
+def test_constant_channel_only_fails_its_own_pairs():
+    four = gen_four_species(300)
+    cfg = RunConfig(n_shuffles=100)
+    clean = discover(four, cfg)
+    mixed = discover(Panel(four.series + (Series("C", np.full(300, 0.5)),)), cfg)
+    assert mixed.nodes == ("V", "X", "Y", "Z", "C")
+    assert [r for r in mixed.reports if "C" not in r.pair] == list(clean.reports)
+    broken = [r for r in mixed.reports if "C" in r.pair]
+    assert len(broken) == 8
+    assert all(r.error == "ConstantSeries: series 'C' has zero range" for r in broken)
+    assert mixed.graph.edges == clean.graph.edges
+    assert sorted(mixed.traces) == sorted(clean.traces)
+
+
+def test_noise_channel_does_not_need_the_first_channel():
+    t_len = 120
+    flat = Series("A", np.ones(t_len))
+    b = gen_white_noise(t_len, derive_seed(23, 0), name="B")
+    cfg = RunConfig(n_shuffles=50, difference_order=1, add_noise_channel=True)
+    result = discover(Panel((flat, b)), cfg)
+    assert result.nodes == ("A", "B", "W")
+    assert _report(result, ("A", "B")).error.startswith("ConstantSeries")
+    assert _report(result, ("B", "W")).error is None
+    assert len(result.traces[("B", "W")].actual.values) == window_count(t_len - 1, 10, 10)
+
+
+def test_score_pair_ignores_argument_order(sync_scaled):
+    xs, ys = sync_scaled
+    cfg = RunConfig(n_shuffles=100)
+    xy, yx, trace = score_pair(xs, ys, cfg)
+    assert score_pair(ys, xs, cfg)[:2] == (yx, xy)
+    assert xy.pair == ("X", "Y") and yx.pair == ("Y", "X")
+    assert yx.ssad == -xy.ssad
+    assert trace.actual.pair == ("X", "Y")
 
 
 def test_reports_do_not_depend_on_column_order():
