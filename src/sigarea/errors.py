@@ -49,6 +49,10 @@ class LengthMismatch(SigAreaError):
     """Sequences that must align have different lengths."""
 
 
+class NameTaken(SigAreaError):
+    """A channel the run adds would reuse the name of an input channel."""
+
+
 class ZeroVariance(SigAreaError):
     """A variance in a ratio denominator is zero."""
 

@@ -18,14 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, LengthMismatch
-from .rng import derive_seed, permutation
+from .rng import Shuffler, derive_seed
 from .series import Series
 from .signature import (
     AreaSequence,
     _batch_pair_areas,
     check_windows,
     signed_area_sequence,
+    window_count,
 )
+
+# Values per shuffle buffer: null_ensemble holds two block_rows x T buffers
+# of shuffled copies at a time, whatever N and T are (at least one row each).
+_BLOCK_VALUES = 1 << 18
 
 
 def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
@@ -105,17 +110,31 @@ def null_ensemble(
     (seed, "shuffle", k, 0) and (seed, "shuffle", k, 1).  The two series get
     independent permutations within each row.  Rows are seeded per index, so
     any evaluation order reproduces the same matrix bit for bit.
+
+    Rows are shuffled and reduced to windowed areas a block at a time, so
+    beyond the n_shuffles x W result the memory used is O(block x T), with a
+    block of about _BLOCK_VALUES values per series.  The result is
+    Fortran-ordered, the layout confidence_band reads.
     """
     if n_shuffles < 2:
         raise InsufficientData("need at least 2 shuffles for a null ensemble")
     check_windows(a, b, window_length, stride)
     t_len = len(a)
-    a_rows = np.empty((n_shuffles, t_len))
-    b_rows = np.empty((n_shuffles, t_len))
-    for k in range(n_shuffles):
-        a_rows[k] = a.values[permutation(t_len, derive_seed(seed, "shuffle", k, 0))]
-        b_rows[k] = b.values[permutation(t_len, derive_seed(seed, "shuffle", k, 1))]
-    return _batch_pair_areas(a_rows, b_rows, window_length, stride)
+    block_rows = min(n_shuffles, max(1, _BLOCK_VALUES // t_len))
+    a_rows = np.empty((block_rows, t_len))
+    b_rows = np.empty((block_rows, t_len))
+    out = np.empty((n_shuffles, window_count(t_len, window_length, stride)), order="F")
+    shuffler = Shuffler()
+    for start in range(0, n_shuffles, block_rows):
+        rows = min(block_rows, n_shuffles - start)
+        for i in range(rows):
+            k = start + i
+            shuffler.shuffle_into(a_rows[i], a.values, derive_seed(seed, "shuffle", k, 0))
+            shuffler.shuffle_into(b_rows[i], b.values, derive_seed(seed, "shuffle", k, 1))
+        out[start : start + rows] = _batch_pair_areas(
+            a_rows[:rows], b_rows[:rows], window_length, stride
+        )
+    return out
 
 
 def confidence_band(
@@ -135,8 +154,11 @@ def confidence_band(
 
     pooled=False instead uses only the n entries of window t for mu[t] and
     sigma[t] (per-window ensemble moments), with the same multiplier.
+
+    The sums run in the memory order of a Fortran-ordered copy of the input,
+    so C- and Fortran-ordered ensembles with equal values give equal bits.
     """
-    ens = np.asarray(ensemble, dtype=np.float64)
+    ens = np.asarray(ensemble, dtype=np.float64, order="F")
     if ens.ndim != 2 or ens.size == 0:
         raise InsufficientData("ensemble must be a nonempty n x W matrix")
     n, w = ens.shape

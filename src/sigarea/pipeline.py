@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .baselines import ccm, granger
 from .direction import ts_savr, shift_profile
-from .errors import SigAreaError
+from .errors import NameTaken, SigAreaError
 from .nulltest import NullBand, ssad_pair_detail
 from .rng import derive_seed
 from .series import Panel, Series, difference, scale_unit_range
@@ -146,7 +146,7 @@ def _noise_name(taken: tuple[str, ...]) -> str:
     for candidate in ("W", "W_noise"):
         if candidate not in taken:
             return candidate
-    raise ValueError("both 'W' and 'W_noise' are taken; rename a channel")
+    raise NameTaken("both 'W' and 'W_noise' are taken; rename a channel")
 
 
 def prepare_channel(s: Series, difference_order: int) -> Series:

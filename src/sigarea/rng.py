@@ -7,10 +7,19 @@ master seed regardless of execution order:
 * Seed derivation: ``derive_seed(master, *parts)`` renders the master seed
   and each part as text, joins them with ``":"``, hashes with SHA-256, and
   keeps the low 128 bits.  Distinct label paths give independent keys.
-* Bit source: numpy's Philox4x32-10 counter-based generator keyed by the
-  derived value.  Counter-based generators have no sequential hidden state,
+* Bit source: numpy's ``Philox`` (Philox4x64-10: four 64-bit counter words
+  and two 64-bit key words) keyed by the low 128 bits of the derived value,
+  low word first.  Counter-based generators have no sequential hidden state,
   so streams for different keys may be drawn in any order, in parallel, with
   identical results.
+* Permutations: ``permutation(n, seed)`` is the generator's Fisher-Yates
+  shuffle of ``range(n)``.  :class:`Shuffler` runs the same shuffle directly
+  on a copy of the values, re-keying one generator per row through its
+  ``state`` (counter 0, key ``[seed & (2**64 - 1), seed >> 64]``, empty
+  buffer).  Fisher-Yates applies the same swaps whatever it is moving, so
+  ``shuffle_into(out, values, seed)`` leaves ``out`` bit-identical to
+  ``values[permutation(len(values), seed)]`` without building a generator
+  or an index array per row.
 * Normal variates: the Box-Muller transform of Philox uniforms, spelled out
   in :func:`standard_normal` rather than delegated to the generator's own
   normal method, so the exact stream is documented and portable.
@@ -23,6 +32,7 @@ import hashlib
 import numpy as np
 
 _KEY_BITS = (1 << 128) - 1
+_WORD_BITS = (1 << 64) - 1
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -33,13 +43,46 @@ def derive_seed(master: int, *parts: object) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Philox4x32-10 generator keyed by ``seed`` (low 128 bits used)."""
+    """Philox4x64-10 generator keyed by ``seed`` (low 128 bits used)."""
     return np.random.Generator(np.random.Philox(key=seed & _KEY_BITS))
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
     """Uniformly random permutation of range(n), determined by ``seed``."""
     return generator(seed).permutation(n)
+
+
+class Shuffler:
+    """Keyed in-place shuffles from one reusable Philox generator.
+
+    Equivalent to :func:`permutation` row by row, but the generator is built
+    once and re-keyed per call, which skips both the per-row construction
+    (and the OS-entropy seeding it does before the key overrides it) and
+    the index array.
+    """
+
+    def __init__(self) -> None:
+        self._bits = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._bits)
+
+    def shuffle_into(self, out: np.ndarray, values: np.ndarray, seed: int) -> None:
+        """Write ``values[permutation(len(values), seed)]`` into the 1-D ``out``."""
+        key = seed & _KEY_BITS
+        # The state of a freshly keyed Philox: buffer_pos 4 of 4 means the
+        # output buffer is empty, so the first draw starts at counter 0.
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([key & _WORD_BITS, key >> 64], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[...] = values
+        self._generator.shuffle(out)
 
 
 def standard_normal(n: int, seed: int) -> np.ndarray:

@@ -354,6 +354,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text("a,b\n1,2\nnan,4\n3,5\n")
     assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_text("W,W_noise\n1,2\n2,4\n3,1\n4,3\n")
+    assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o"), "--noise-channel"]) == 2
+    assert "'W_noise' are taken" in capsys.readouterr().err
 
     four = str(tmp_path / "four.csv")
     assert cli.main(["generate", "four_species", "--tau-d", "2", "--out", four]) == 1

@@ -7,6 +7,7 @@ recomputation that shares no code with the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sigarea import (
     InsufficientData,
     LengthMismatch,
     NullBand,
+    Series,
     confidence_band,
     gen_white_noise,
     multiplier,
@@ -26,7 +28,8 @@ from sigarea import (
     ssad,
     ssad_pair_detail,
 )
-from sigarea.rng import derive_seed
+from sigarea.nulltest import _BLOCK_VALUES
+from sigarea.rng import derive_seed, permutation
 
 M1_FROZEN = 4.017687416608669
 
@@ -89,6 +92,22 @@ def test_confidence_band_ordering_and_degenerate_ensemble():
     assert np.array_equal(flat.sigma, np.zeros(4))
 
 
+@pytest.mark.parametrize("t_len", [23, 1000, 10000])
+def test_confidence_band_ignores_memory_layout(t_len):
+    # The same values in C and Fortran order must give the same bits: the
+    # sums run in one fixed order whatever layout the caller passes.
+    a = scale_unit_range(gen_white_noise(t_len, derive_seed(8, t_len, 0)))
+    b = scale_unit_range(gen_white_noise(t_len, derive_seed(8, t_len, 1)))
+    ens = null_ensemble(a, b, 10, 50, seed=2)
+    c_ordered = np.ascontiguousarray(ens)
+    assert c_ordered.flags.c_contiguous and not c_ordered.flags.f_contiguous
+    for pooled in (True, False):
+        want = confidence_band(ens, pooled=pooled)
+        got = confidence_band(c_ordered, pooled=pooled)
+        for name in ("lower", "upper", "mu", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_confidence_band_insufficient_data():
     with pytest.raises(InsufficientData):
         confidence_band(np.ones((1, 5)))
@@ -112,18 +131,51 @@ def test_null_ensemble_shape_and_determinism():
     assert tiled.shape == (50, 10)
 
 
-def test_null_ensemble_rows_match_documented_composition():
-    # Row k must be bit-identical to shuffling each series with the derived
+def _assert_rows_match_documented_composition(
+    t_len, n_shuffles, window_length, stride, n_blocks
+):
+    # Row k must be bit-identical to permuting each series with the derived
     # per-row seeds and running the windowed-area op on the results.
-    a = scale_unit_range(gen_white_noise(80, derive_seed(4, 0)))
-    b = scale_unit_range(gen_white_noise(80, derive_seed(4, 1)))
+    block_rows = min(n_shuffles, max(1, _BLOCK_VALUES // t_len))
+    assert -(-n_shuffles // block_rows) == n_blocks
+    a = scale_unit_range(gen_white_noise(t_len, derive_seed(4, 0), "A"))
+    b = scale_unit_range(gen_white_noise(t_len, derive_seed(4, 1), "B"))
     seed = 1
-    ens = null_ensemble(a, b, 10, 5, seed=seed, stride=3)
-    for k in range(5):
-        sa = shuffle(a, derive_seed(seed, "shuffle", k, 0))
-        sb = shuffle(b, derive_seed(seed, "shuffle", k, 1))
-        row = signed_area_sequence(sa, sb, 10, 3).values
+    ens = null_ensemble(a, b, window_length, n_shuffles, seed=seed, stride=stride)
+    for k in range(n_shuffles):
+        pa = permutation(t_len, derive_seed(seed, "shuffle", k, 0))
+        pb = permutation(t_len, derive_seed(seed, "shuffle", k, 1))
+        row = signed_area_sequence(
+            Series("A", a.values[pa]), Series("B", b.values[pb]), window_length, stride
+        ).values
         assert np.array_equal(ens[k], row)
+
+
+def test_null_ensemble_rows_match_documented_composition():
+    # One block holds every row.
+    _assert_rows_match_documented_composition(80, 5, 10, 3, n_blocks=1)
+
+
+def test_null_ensemble_rows_match_documented_composition_across_blocks():
+    # Blocks of 52 rows: 52 + 52 + a partial last block of 16.
+    _assert_rows_match_documented_composition(5000, 120, 10, 10, n_blocks=3)
+
+
+def test_null_ensemble_memory_is_bounded_by_output_and_blocks():
+    # Beyond its n x W result, null_ensemble holds two shuffle buffers of
+    # about _BLOCK_VALUES values and the area batch of one block; the whole
+    # shuffled ensemble (2 N T values, 64 MB here) is never materialised.
+    t_len, n_shuffles = 20000, 200
+    a = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 0)))
+    b = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 1)))
+    tracemalloc.start()
+    try:
+        ens = null_ensemble(a, b, 10, n_shuffles, seed=3, stride=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.shape == (n_shuffles, 2000)
+    assert peak <= 3 * (ens.size + 2 * _BLOCK_VALUES) * 8
 
 
 def test_null_ensemble_needs_two_rows():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigarea import (
+    NameTaken,
     PairReport,
     Panel,
     RunConfig,
@@ -194,7 +195,7 @@ def test_noise_channel_avoids_name_collision():
     result = discover(Panel((w, y)), RunConfig(n_shuffles=50, add_noise_channel=True))
     assert result.nodes == ("W", "Y", "W_noise")
     both_taken = Panel((w, Series("W_noise", y.values)))
-    with pytest.raises(ValueError):
+    with pytest.raises(NameTaken):
         discover(both_taken, RunConfig(n_shuffles=50, add_noise_channel=True))
 
 

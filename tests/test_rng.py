@@ -7,8 +7,15 @@ The anchors pin the exact streams so a refactor that silently changes them
 import hashlib
 
 import numpy as np
+import pytest
 
-from sigarea.rng import derive_seed, generator, permutation, standard_normal
+from sigarea.rng import (
+    Shuffler,
+    derive_seed,
+    generator,
+    permutation,
+    standard_normal,
+)
 
 
 def test_derive_seed_matches_documented_construction():
@@ -52,6 +59,22 @@ def test_permutation_frozen_and_valid():
     p = permutation(100, 7)
     assert sorted(p) == list(range(100))
     assert np.array_equal(p, permutation(100, 7))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 10001])
+def test_shuffler_matches_permutation_gather(n):
+    # One Shuffler re-keyed per call must reproduce values[permutation(n, s)]
+    # for every seed in turn, including seeds past 128 bits, which both
+    # constructions mask to their low 128 bits.
+    values = np.linspace(-1.0, 1.0, n) ** 3
+    shuffler = Shuffler()
+    out = np.empty(n)
+    seeds = [0, 42, derive_seed(5, "shuffle", n, 0), 2**64 - 1, 2**64, 2**128 + 42, 2**200 + 7]
+    for seed in seeds:
+        shuffler.shuffle_into(out, values, seed)
+        assert np.array_equal(out, values[permutation(n, seed)])
+    shuffler.shuffle_into(out, values, 2**128 + 42)
+    assert np.array_equal(out, values[permutation(n, 42)])
 
 
 def test_standard_normal_matches_box_muller_recomputation():
