@@ -22,6 +22,7 @@ always wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -47,22 +48,31 @@ class _Parser(argparse.ArgumentParser):
 def _default_seed() -> int:
     raw = os.environ.get("SIGAREA_SEED")
     if raw is None:
-        return 0
+        return RunConfig().seed
     try:
         return int(raw)
     except ValueError:
         raise UsageError(f"SIGAREA_SEED must be an integer, got {raw!r}") from None
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-length", type=int, default=10, metavar="L")
-    parser.add_argument("--n-shuffles", type=int, default=1000, metavar="N")
-    parser.add_argument("--stride", type=int, default=None, metavar="S",
-                        help="window step; default = window length (tiling)")
-    parser.add_argument("--rho", type=float, default=1.0)
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--difference-order", type=int, default=0, metavar="K")
+def _add_run_flags(parser: argparse.ArgumentParser, shuffles: bool, taus: bool) -> None:
+    # Each flag is named after the RunConfig field it sets and defaults to it.
+    defaults = RunConfig()
+    if shuffles:
+        parser.add_argument("--window-length", type=int,
+                            default=defaults.window_length, metavar="L")
+        parser.add_argument("--n-shuffles", type=int,
+                            default=defaults.n_shuffles, metavar="N")
+        parser.add_argument("--stride", type=int, default=defaults.stride, metavar="S",
+                            help="window step; default = window length (tiling)")
+        parser.add_argument("--rho", type=float, default=defaults.rho)
+        parser.add_argument("--alpha", type=float, default=defaults.alpha)
+        parser.add_argument("--seed", type=int, default=None)
+    if taus:
+        parser.add_argument("--tau-min", type=int, default=defaults.tau_min)
+        parser.add_argument("--tau-max", type=int, default=defaults.tau_max)
+    parser.add_argument("--difference-order", type=int,
+                        default=defaults.difference_order, metavar="K")
     parser.add_argument("--interp-step", type=float, default=None, metavar="DT",
                         help="resample onto a uniform grid (needs a time column)")
 
@@ -88,16 +98,14 @@ def _build_parser() -> _Parser:
     ana = sub.add_parser("analyze", help="pairwise discovery over a CSV panel")
     ana.add_argument("csv")
     ana.add_argument("--out", required=True, metavar="DIR")
-    _add_common_flags(ana)
-    ana.add_argument("--tau-min", type=int, default=-10)
-    ana.add_argument("--tau-max", type=int, default=10)
-    ana.add_argument("--theta", type=float, default=None,
+    _add_run_flags(ana, shuffles=True, taus=True)
+    ana.add_argument("--theta", type=float, default=RunConfig().theta,
                      help="|SSAD| edge threshold; omit for rank mode")
-    ana.add_argument("--noise-channel", action="store_true",
+    ana.add_argument("--noise-channel", dest="add_noise_channel", action="store_true",
                      help="append a scaled white-noise control channel")
-    ana.add_argument("--granger", action="store_true",
+    ana.add_argument("--granger", dest="run_granger", action="store_true",
                      help="add lagged-regression baseline columns")
-    ana.add_argument("--ccm", action="store_true",
+    ana.add_argument("--ccm", dest="run_ccm", action="store_true",
                      help="add cross-mapping baseline columns")
 
     for name in ("ssad", "tssavr"):
@@ -105,13 +113,7 @@ def _build_parser() -> _Parser:
         single.add_argument("csv")
         single.add_argument("--x", required=True, metavar="NAME")
         single.add_argument("--y", required=True, metavar="NAME")
-        if name == "ssad":
-            _add_common_flags(single)
-        else:
-            single.add_argument("--tau-min", type=int, default=-10)
-            single.add_argument("--tau-max", type=int, default=10)
-            single.add_argument("--difference-order", type=int, default=0)
-            single.add_argument("--interp-step", type=float, default=None)
+        _add_run_flags(single, shuffles=name == "ssad", taus=name == "tssavr")
 
     base = sub.add_parser("baseline", help="reference method on one pair")
     base.add_argument("method", choices=["granger", "ccm"])
@@ -139,22 +141,13 @@ def _generate(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # A field the subcommand has no flag for keeps its RunConfig default.
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    if args.seed is None:
+        given["seed"] = _default_seed()
     try:
-        return RunConfig(
-            window_length=args.window_length,
-            n_shuffles=args.n_shuffles,
-            seed=args.seed if args.seed is not None else _default_seed(),
-            stride=args.stride,
-            rho=args.rho,
-            alpha=args.alpha,
-            tau_min=getattr(args, "tau_min", -10),
-            tau_max=getattr(args, "tau_max", 10),
-            theta=getattr(args, "theta", None),
-            difference_order=args.difference_order,
-            add_noise_channel=getattr(args, "noise_channel", False),
-            run_granger=getattr(args, "granger", False),
-            run_ccm=getattr(args, "ccm", False),
-        )
+        return RunConfig(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

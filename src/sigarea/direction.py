@@ -7,9 +7,11 @@ j, shifting i backwards (tau < 0) re-aligns cause with effect and the areas
 swing hard, while shifting forwards decorrelates them; the sample-variance
 ratio Var(tau < 0) / Var(tau > 0) therefore points from cause to effect.
 
-Each ordered pair is profiled independently: the (j, i) profile is built
-from its own shifts, not by mirroring (i, j), so the two ratios are related
-but not exact reciprocals.
+Each ordered pair is profiled from its own shifts, not by mirroring (i, j).
+For a range symmetric about zero the two still agree: the (j, i) area at
+tau is the exact negation of the (i, j) area at -tau (the same samples with
+the path coordinates swapped), so the two ratios are reciprocals up to the
+rounding of the final division.  They differ only for asymmetric ranges.
 """
 
 from __future__ import annotations

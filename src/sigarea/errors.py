@@ -50,7 +50,8 @@ class LengthMismatch(SigAreaError):
 
 
 class NameTaken(SigAreaError):
-    """A channel the run adds would reuse the name of an input channel."""
+    """A name the run makes would clash: a channel it adds would reuse an
+    input channel's name, or two pairs would share a trace file name."""
 
 
 class ZeroVariance(SigAreaError):

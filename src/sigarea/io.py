@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IoError, NonNumericCell, ParseError, RaggedRows
+from .errors import IoError, NameTaken, NonNumericCell, ParseError, RaggedRows
 from .pipeline import DiscoveryResult, PairReport
 from .series import Panel, Series, interpolate_uniform
 
@@ -191,8 +191,15 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
     pairs.csv (the same scores as a flat table), and one
     trace_<i>_<j>.csv per successful pair with columns window_index
     (1-based, the t of the band multiplier), actual_area, mu, lower,
-    upper.  Returns the written paths.
+    upper.  Returns the written paths.  Raises NameTaken, before writing
+    anything, when two pairs would share a trace file name.
     """
+    trace_names: dict[str, tuple[str, str]] = {}
+    for pair in result.traces:
+        name = f"trace_{_safe_name(pair[0])}_{_safe_name(pair[1])}.csv"
+        if name in trace_names:
+            raise NameTaken(f"pairs {trace_names[name]} and {pair} both write {name}")
+        trace_names[name] = pair
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -223,15 +230,14 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
     _atomic_write(pairs_path, "\n".join(pairs_lines) + "\n")
     written.append(pairs_path)
 
-    for (i, j), trace in result.traces.items():
+    for name, pair in trace_names.items():
+        trace = result.traces[pair]
         band = trace.band
         columns = (trace.actual.values, band.mu, band.lower, band.upper)
         rows = ["window_index,actual_area,mu,lower,upper"]
         for w in range(trace.actual.count):
             rows.append(",".join([str(w + 1)] + [format_float(arr[w]) for arr in columns]))
-        trace_path = os.path.join(
-            out_dir, f"trace_{_safe_name(i)}_{_safe_name(j)}.csv"
-        )
+        trace_path = os.path.join(out_dir, name)
         _atomic_write(trace_path, "\n".join(rows) + "\n")
         written.append(trace_path)
     return written

@@ -22,15 +22,11 @@ from .rng import Shuffler, derive_seed
 from .series import Series
 from .signature import (
     AreaSequence,
-    _batch_pair_areas,
+    _window_areas,
     check_windows,
     signed_area_sequence,
     window_count,
 )
-
-# Values per shuffle buffer: null_ensemble holds two block_rows x T buffers
-# of shuffled copies at a time, whatever N and T are (at least one row each).
-_BLOCK_VALUES = 1 << 18
 
 
 def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
@@ -111,29 +107,23 @@ def null_ensemble(
     independent permutations within each row.  Rows are seeded per index, so
     any evaluation order reproduces the same matrix bit for bit.
 
-    Rows are shuffled and reduced to windowed areas a block at a time, so
-    beyond the n_shuffles x W result the memory used is O(block x T), with a
-    block of about _BLOCK_VALUES values per series.  The result is
-    Fortran-ordered, the layout confidence_band reads.
+    Each row is shuffled into two length-T buffers and reduced to its
+    windowed areas at once, so beyond the n_shuffles x W result the memory
+    used is O(T).  The result is Fortran-ordered, the layout
+    confidence_band reads.
     """
     if n_shuffles < 2:
         raise InsufficientData("need at least 2 shuffles for a null ensemble")
     check_windows(a, b, window_length, stride)
     t_len = len(a)
-    block_rows = min(n_shuffles, max(1, _BLOCK_VALUES // t_len))
-    a_rows = np.empty((block_rows, t_len))
-    b_rows = np.empty((block_rows, t_len))
+    a_row = np.empty(t_len)
+    b_row = np.empty(t_len)
     out = np.empty((n_shuffles, window_count(t_len, window_length, stride)), order="F")
     shuffler = Shuffler()
-    for start in range(0, n_shuffles, block_rows):
-        rows = min(block_rows, n_shuffles - start)
-        for i in range(rows):
-            k = start + i
-            shuffler.shuffle_into(a_rows[i], a.values, derive_seed(seed, "shuffle", k, 0))
-            shuffler.shuffle_into(b_rows[i], b.values, derive_seed(seed, "shuffle", k, 1))
-        out[start : start + rows] = _batch_pair_areas(
-            a_rows[:rows], b_rows[:rows], window_length, stride
-        )
+    for k in range(n_shuffles):
+        shuffler.shuffle_into(a_row, a.values, derive_seed(seed, "shuffle", k, 0))
+        shuffler.shuffle_into(b_row, b.values, derive_seed(seed, "shuffle", k, 1))
+        out[k] = _window_areas(a_row, b_row, window_length, stride)
     return out
 
 

@@ -165,10 +165,10 @@ def window_count(t_len: int, window_length: int, stride: int) -> int:
     return (t_len - window_length) // stride + 1
 
 
-def _batch_pair_areas(
-    a_rows: np.ndarray, b_rows: np.ndarray, window_length: int, stride: int
+def _window_areas(
+    a: np.ndarray, b: np.ndarray, window_length: int, stride: int
 ) -> np.ndarray:
-    """Windowed pair areas for stacked series, one row per (a, b) pair.
+    """Windowed signed areas of the pair (a, b) given as two sample vectors.
 
     Works on the cross-term prefix sums so every window costs O(1):
     with x = b, y = a (the pair orientation), window [s, e] has
@@ -177,21 +177,22 @@ def _batch_pair_areas(
               + y_s (x_e - x_s) - x_s (y_e - y_s)
 
     and the sum telescopes out of one cumulative array.  The same routine
-    serves single pairs (shape 1 x T) and whole shuffle ensembles (n x T), so
-    ensemble rows are bit-identical to individually computed sequences.
+    serves single pairs and every row of a shuffle ensemble, so ensemble
+    rows are bit-identical to individually computed sequences.
     """
-    x, y = b_rows, a_rows
-    t_len = x.shape[-1]
-    cross = x[..., :-1] * y[..., 1:] - x[..., 1:] * y[..., :-1]
-    prefix = np.concatenate(
-        [np.zeros(x.shape[:-1] + (1,)), np.cumsum(cross, axis=-1)], axis=-1
-    )
-    starts = np.arange(window_count(t_len, window_length, stride)) * stride
-    ends = starts + window_length - 1
-    windowed = prefix[..., ends] - prefix[..., starts]
-    corr = y[..., starts] * (x[..., ends] - x[..., starts]) - x[..., starts] * (
-        y[..., ends] - y[..., starts]
-    )
+    x, y = b, a
+    t_len = x.size
+    cross = x[:-1] * y[1:]
+    cross -= x[1:] * y[:-1]
+    prefix = np.empty(t_len)
+    prefix[0] = 0.0
+    np.cumsum(cross, out=prefix[1:])
+    # Window starts and ends as strided views; fancy indexing would copy.
+    span = (window_count(t_len, window_length, stride) - 1) * stride + 1
+    starts = slice(0, span, stride)
+    ends = slice(window_length - 1, window_length - 1 + span, stride)
+    windowed = prefix[ends] - prefix[starts]
+    corr = y[starts] * (x[ends] - x[starts]) - x[starts] * (y[ends] - y[starts])
     return 0.5 * (windowed + corr)
 
 
@@ -221,7 +222,5 @@ def signed_area_sequence(
     window_length tiles the series with non-overlapping windows.
     """
     check_windows(a, b, window_length, stride)
-    values = _batch_pair_areas(
-        a.values[None, :], b.values[None, :], window_length, stride
-    )[0]
+    values = _window_areas(a.values, b.values, window_length, stride)
     return AreaSequence((a.name, b.name), window_length, stride, values)

@@ -13,8 +13,10 @@ import sys
 import numpy as np
 import pytest
 
+import sigarea
 from sigarea import (
     IoError,
+    NameTaken,
     NonNumericCell,
     Panel,
     ParseError,
@@ -208,6 +210,45 @@ def _sync_csv(tmp_path, steps=300):
     return path
 
 
+def _colliding_panel():
+    # ('a b', 'c') and ('a_b', 'c') both make trace_a_b_c.csv.
+    return Panel(
+        tuple(
+            gen_white_noise(60, derive_seed(33, k), name=name)
+            for k, name in enumerate(("a b", "a_b", "c"))
+        )
+    )
+
+
+def test_write_report_refuses_colliding_trace_names(tmp_path):
+    result = discover(_colliding_panel(), RunConfig(n_shuffles=10))
+    out = tmp_path / "out"
+    with pytest.raises(NameTaken, match="'a b'.*'a_b'"):
+        write_report(result, str(out))
+    assert not out.exists()
+
+
+def test_cli_analyze_exits_2_on_colliding_trace_names(tmp_path, capsys):
+    csv_path = str(tmp_path / "collide.csv")
+    write_csv(_colliding_panel(), csv_path)
+    out = tmp_path / "run"
+    assert cli.main(["analyze", csv_path, "--out", str(out), "--n-shuffles", "10"]) == 2
+    assert "trace_a_b_c.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_defaults_are_run_config_defaults(monkeypatch):
+    monkeypatch.delenv("SIGAREA_SEED", raising=False)
+    parser = cli._build_parser()
+    for argv in (["analyze", "f.csv", "--out", "d"], ["ssad", "f.csv", "--x", "A", "--y", "B"]):
+        assert cli._config_from_args(parser.parse_args(argv)) == RunConfig()
+    tssavr = parser.parse_args(["tssavr", "f.csv", "--x", "A", "--y", "B"])
+    defaults = RunConfig()
+    assert (tssavr.tau_min, tssavr.tau_max, tssavr.difference_order) == (
+        defaults.tau_min, defaults.tau_max, defaults.difference_order
+    )
+
+
 def test_cli_generate_writes_loadable_panel(tmp_path, capsys):
     path = _sync_csv(tmp_path)
     out = capsys.readouterr().out
@@ -364,10 +405,18 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_module_entry_point_smoke():
+    # The child must import the same sigarea as this process, installed or
+    # not: pytest's own pythonpath setting does not reach a subprocess.
+    package_root = os.path.dirname(os.path.dirname(sigarea.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + ([inherited] if inherited else [])
+    ))
     proc = subprocess.run(
         [sys.executable, "-m", "sigarea.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "sigarea" in proc.stdout

@@ -28,7 +28,6 @@ from sigarea import (
     ssad,
     ssad_pair_detail,
 )
-from sigarea.nulltest import _BLOCK_VALUES
 from sigarea.rng import derive_seed, permutation
 
 M1_FROZEN = 4.017687416608669
@@ -131,13 +130,9 @@ def test_null_ensemble_shape_and_determinism():
     assert tiled.shape == (50, 10)
 
 
-def _assert_rows_match_documented_composition(
-    t_len, n_shuffles, window_length, stride, n_blocks
-):
+def _assert_rows_match_documented_composition(t_len, n_shuffles, window_length, stride):
     # Row k must be bit-identical to permuting each series with the derived
     # per-row seeds and running the windowed-area op on the results.
-    block_rows = min(n_shuffles, max(1, _BLOCK_VALUES // t_len))
-    assert -(-n_shuffles // block_rows) == n_blocks
     a = scale_unit_range(gen_white_noise(t_len, derive_seed(4, 0), "A"))
     b = scale_unit_range(gen_white_noise(t_len, derive_seed(4, 1), "B"))
     seed = 1
@@ -152,19 +147,17 @@ def _assert_rows_match_documented_composition(
 
 
 def test_null_ensemble_rows_match_documented_composition():
-    # One block holds every row.
-    _assert_rows_match_documented_composition(80, 5, 10, 3, n_blocks=1)
+    _assert_rows_match_documented_composition(80, 5, 10, 3)
 
 
-def test_null_ensemble_rows_match_documented_composition_across_blocks():
-    # Blocks of 52 rows: 52 + 52 + a partial last block of 16.
-    _assert_rows_match_documented_composition(5000, 120, 10, 10, n_blocks=3)
+def test_null_ensemble_rows_match_documented_composition_long_series():
+    _assert_rows_match_documented_composition(5000, 120, 10, 10)
 
 
-def test_null_ensemble_memory_is_bounded_by_output_and_blocks():
-    # Beyond its n x W result, null_ensemble holds two shuffle buffers of
-    # about _BLOCK_VALUES values and the area batch of one block; the whole
-    # shuffled ensemble (2 N T values, 64 MB here) is never materialised.
+def test_null_ensemble_memory_is_bounded_by_output_and_rows():
+    # Beyond its n x W result, null_ensemble holds two length-T shuffle
+    # buffers and the temporaries of one row's areas; the whole shuffled
+    # ensemble (2 N T values, 64 MB here) is never materialised.
     t_len, n_shuffles = 20000, 200
     a = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 0)))
     b = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 1)))
@@ -175,7 +168,7 @@ def test_null_ensemble_memory_is_bounded_by_output_and_blocks():
     finally:
         tracemalloc.stop()
     assert ens.shape == (n_shuffles, 2000)
-    assert peak <= 3 * (ens.size + 2 * _BLOCK_VALUES) * 8
+    assert peak <= 2 * (ens.size + 2 * t_len) * 8
 
 
 def test_null_ensemble_needs_two_rows():
