@@ -208,6 +208,54 @@ def default_library_sizes(n_points: int) -> tuple[int, ...]:
     return tuple(int(s) for s in sizes)
 
 
+# Library columns per step of the neighbour search.  A step holds an
+# n x _CCM_CHUNK x E difference block, so ccm's memory is O(n * chunk * E).
+_CCM_CHUNK = 256
+
+
+def _distances(manifold: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Distances from every manifold point to library columns start..stop-1."""
+    n_points, embed_dim = manifold.shape
+    diffs = np.empty((n_points, stop - start, embed_dim))
+    # One subtraction per dimension: the same values as broadcasting over
+    # the short last axis, which runs about twice as slow.
+    for k in range(embed_dim):
+        np.subtract(
+            manifold[:, k, None], manifold[None, start:stop, k], out=diffs[:, :, k]
+        )
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    cols = np.arange(stop - start)
+    dist[cols + start, cols] = np.inf  # a point is not its own neighbour
+    return dist
+
+
+def _nearest_positions(cand: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the positions of the k smallest values sorted by (value, position)."""
+    kth = np.partition(cand, k - 1, axis=1)[:, k - 1 : k]
+    chosen = cand <= kth
+    over = np.flatnonzero(chosen.sum(axis=1) > k)
+    if over.size:  # ties at the k-th value: keep the first of them by position
+        rows, bound = cand[over], kth[over]
+        below, ties = rows < bound, rows == bound
+        room = k - below.sum(axis=1, keepdims=True)
+        chosen[over] = below | (ties & (np.cumsum(ties, axis=1) <= room))
+    pos = np.nonzero(chosen)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(cand, pos, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(pos, order, axis=1)
+
+
+def _cross_map_skill(d: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> float:
+    """Skill of the exp(-d/d_1)-weighted neighbour average of the targets."""
+    nearest = d[:, :1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.exp(-d / nearest)
+    w[~np.isfinite(w)] = 1.0
+    w[nearest[:, 0] == 0.0] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
+    pred = (w * targets[idx]).sum(axis=1)
+    return _squared_pearson(pred, targets)
+
+
 def ccm(
     x: Series,
     y: Series,
@@ -222,9 +270,17 @@ def ccm(
     serve as neighbor candidates; every manifold point is predicted from
     its E+1 nearest library neighbors (itself excluded when inside the
     library) with weights exp(-d_k/d_1) normalized, d_1 the nearest
-    distance; ties at d_1 = 0 fall back to equal weights.  Skill is the
-    squared Pearson correlation between predicted and actual x, and high
-    skill is evidence that x forces y.
+    distance; ties at d_1 = 0 fall back to equal weights.  Among
+    equidistant candidates the lower library index wins, so the neighbours
+    are fully determined by the data.  Skill is the squared Pearson
+    correlation between predicted and actual x, and high skill is evidence
+    that x forces y.
+
+    The library is read in steps of at most _CCM_CHUNK columns that end on
+    every library size, each merged into a running set of the E+1 nearest
+    neighbours, so memory is O(n * _CCM_CHUNK * E) for n manifold points
+    rather than O(n^2 * E), and columns past the largest library are never
+    read.
     """
     if embed_dim < 1 or lag < 1:
         raise ValueError("embed_dim and lag must be >= 1")
@@ -247,32 +303,33 @@ def ccm(
         sizes = tuple(int(s) for s in library_sizes)
         if not sizes or any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
             raise ValueError("library sizes must be ascending and nonempty")
-    if sizes[0] < embed_dim + 2:
-        raise ValueError("smallest library must hold at least embed_dim + 2 points")
+    # Checked first: on a short manifold the default sizes overrun it and
+    # also start below embed_dim + 2, and that is a data error.
     if sizes[-1] > n_points:
         raise TooShort("largest library exceeds available manifold points")
-
-    diffs = manifold[:, None, :] - manifold[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    np.fill_diagonal(dist, np.inf)
+    if sizes[0] < embed_dim + 2:
+        raise ValueError("smallest library must hold at least embed_dim + 2 points")
 
     n_neigh = embed_dim + 1
+    # The running nearest set comes first in each merge, so a lower position
+    # among equal distances is always a lower library index.  Its starting
+    # placeholders (inf, index 0) lose to any finite distance, and every row
+    # has E+1 of those by the first library size.
+    near_d = np.full((n_points, n_neigh), np.inf)
+    near_i = np.zeros((n_points, n_neigh), dtype=np.intp)
     skill: dict[int, float] = {}
+    start = 0
     for lib in sizes:
-        block = dist[:, :lib]
-        idx = np.argpartition(block, n_neigh - 1, axis=1)[:, :n_neigh]
-        d = np.take_along_axis(block, idx, axis=1)
-        order = np.argsort(d, axis=1, kind="stable")
-        d = np.take_along_axis(d, order, axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        nearest = d[:, :1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.exp(-d / nearest)
-        w[~np.isfinite(w)] = 1.0
-        w[nearest[:, 0] == 0.0] = 1.0
-        w /= w.sum(axis=1, keepdims=True)
-        pred = (w * targets[idx]).sum(axis=1)
-        skill[int(lib)] = _squared_pearson(pred, targets)
+        while start < lib:
+            stop = min(start + _CCM_CHUNK, lib)
+            cand = np.concatenate([near_d, _distances(manifold, start, stop)], axis=1)
+            pos = _nearest_positions(cand, n_neigh)
+            near_d = np.take_along_axis(cand, pos, axis=1)
+            held = pos < n_neigh
+            kept = np.take_along_axis(near_i, np.where(held, pos, 0), axis=1)
+            near_i = np.where(held, kept, pos + (start - n_neigh))
+            start = stop
+        skill[int(lib)] = _cross_map_skill(near_d, near_i, targets)
     return CcmResult(
         (x.name, y.name), embed_dim, lag, sizes, skill, max(skill.values())
     )

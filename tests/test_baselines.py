@@ -5,9 +5,12 @@ at 40 significant digits, and the same reference is recomputed live so the
 table itself cannot go stale.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sigarea import baselines
 from sigarea import (
     DegenerateEmbedding,
     LengthMismatch,
@@ -16,6 +19,7 @@ from sigarea import (
     ccm,
     default_library_sizes,
     f_upper_tail,
+    gen_four_species,
     gen_two_species_sync,
     gen_white_noise,
     granger,
@@ -212,9 +216,113 @@ def test_ccm_validation():
         ccm(noise, gen_white_noise(99, derive_seed(9, 3)))
 
 
+def test_ccm_on_four_manifold_points_is_too_short():
+    # The default sizes for four points, (3, ..., 10), overrun the manifold
+    # and also start below embed_dim + 2; the data error is the one raised.
+    assert default_library_sizes(4) == tuple(range(3, 11))
+    with pytest.raises(TooShort):
+        ccm(
+            gen_white_noise(5, derive_seed(9, 4)),
+            gen_white_noise(5, derive_seed(9, 5)),
+        )
+
+
 def test_ccm_is_deterministic(sync_pair):
     xs, ys = sync_pair
     first = ccm(xs, ys, library_sizes=[10, 200, 900])
     second = ccm(xs, ys, library_sizes=[10, 200, 900])
     assert first.skill[900] == second.skill[900]
     assert first.max_r2 == second.max_r2
+
+
+def _full_matrix_ccm(x, y, embed_dim, lag, sizes, lowest_index):
+    """The all-pairs cross map: one n x n x E difference tensor and, per
+    library size, either an argpartition of the whole prefix (the search
+    the chunked one replaced) or a full stable argsort of it, which
+    resolves equal distances to the lower library index."""
+    t_len = len(x)
+    offset = (embed_dim - 1) * lag
+    manifold = np.column_stack(
+        [y.values[offset - k * lag : t_len - k * lag] for k in range(embed_dim)]
+    )
+    targets = x.values[offset:]
+    diffs = manifold[:, None, :] - manifold[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    np.fill_diagonal(dist, np.inf)
+    n_neigh = embed_dim + 1
+    skill = {}
+    for lib in sizes:
+        block = dist[:, :lib]
+        if lowest_index:
+            idx = np.argsort(block, axis=1, kind="stable")[:, :n_neigh]
+            d = np.take_along_axis(block, idx, axis=1)
+        else:
+            idx = np.argpartition(block, n_neigh - 1, axis=1)[:, :n_neigh]
+            d = np.take_along_axis(block, idx, axis=1)
+            order = np.argsort(d, axis=1, kind="stable")
+            d = np.take_along_axis(d, order, axis=1)
+            idx = np.take_along_axis(idx, order, axis=1)
+        nearest = d[:, :1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.exp(-d / nearest)
+        w[~np.isfinite(w)] = 1.0
+        w[nearest[:, 0] == 0.0] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        pred = (w * targets[idx]).sum(axis=1)
+        skill[lib] = baselines._squared_pearson(pred, targets)
+    return skill
+
+
+def _tie_free_channels(n):
+    four = gen_four_species(n)
+    noise = gen_white_noise(n, derive_seed(9, "oracle"))
+    return [scale_unit_range(s) for s in (four.get("X"), four.get("Y"), noise)]
+
+
+@pytest.mark.parametrize("n", [120, 600])
+def test_ccm_matches_full_matrix_search_bit_for_bit(n):
+    # 120 samples fit in one chunk; 600 need several.  The custom sizes
+    # sit off the chunk edges (256, 512) and one chunk spans two of them.
+    chans = _tie_free_channels(n)
+    custom = (7, 100, 300, 511, 560) if n == 600 else (5, 50, 51, 90)
+    for x, y in ((chans[0], chans[1]), (chans[2], chans[0])):
+        for embed_dim in (1, 2, 3):
+            for lag in (1, 2):
+                for sizes in (None, custom):
+                    got = ccm(x, y, embed_dim, lag, sizes)
+                    want = _full_matrix_ccm(
+                        x, y, embed_dim, lag, got.library_sizes, lowest_index=False
+                    )
+                    assert dict(got.skill) == want
+
+
+@pytest.mark.parametrize("chunk", [baselines._CCM_CHUNK, 7, 1])
+def test_ccm_ties_go_to_the_lower_library_index(monkeypatch, chunk):
+    # Values on a 1/8 grid put many equal distances at the neighbour bound;
+    # the result follows the lowest-index rule whatever the chunk width.
+    monkeypatch.setattr(baselines, "_CCM_CHUNK", chunk)
+    coarse = [
+        Series(s.name, np.round(s.values * 8.0) / 8.0) for s in _tie_free_channels(300)
+    ]
+    assert len(np.unique(coarse[0].values)) <= 9
+    for x, y in ((coarse[0], coarse[1]), (coarse[1], coarse[2])):
+        for embed_dim in (1, 2, 3):
+            got = ccm(x, y, embed_dim, 1, (5, 40, 131, 270))
+            want = _full_matrix_ccm(
+                x, y, embed_dim, 1, got.library_sizes, lowest_index=True
+            )
+            assert dict(got.skill) == want
+
+
+def test_ccm_memory_is_bounded_by_the_chunk():
+    # The all-pairs search peaked at 289 MB here (an n x n x E tensor).
+    t_len = 3000
+    x = gen_white_noise(t_len, derive_seed(9, "mem", 0))
+    y = gen_white_noise(t_len, derive_seed(9, "mem", 1))
+    tracemalloc.start()
+    try:
+        ccm(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * t_len * baselines._CCM_CHUNK * 8

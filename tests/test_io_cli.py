@@ -325,6 +325,24 @@ def test_cli_analyze_survives_a_constant_channel(tmp_path):
     assert all(p["error"].startswith("ConstantSeries") for p in broken)
 
 
+def test_cli_ccm_on_a_short_csv_is_a_pair_error(tmp_path, capsys):
+    # Five rows make four CCM manifold points: analyze reports the pair's
+    # error and carries on; the baseline command exits with a data error.
+    csv_path = tmp_path / "five.csv"
+    csv_path.write_text("A,B\n0.1,0.5\n0.7,0.2\n0.3,0.9\n0.9,0.4\n0.2,0.6\n")
+    out = tmp_path / "run"
+    assert cli.main([
+        "analyze", str(csv_path), "--out", str(out), "--window-length", "2",
+        "--tau-min", "-2", "--tau-max", "2", "--n-shuffles", "50", "--ccm",
+    ]) == 0
+    pairs = json.loads((out / "report.json").read_text())["pairs"]
+    assert [(p["i"], p["j"]) for p in pairs] == [("A", "B"), ("B", "A")]
+    assert all(p["error"].startswith("TooShort: ") for p in pairs)
+    capsys.readouterr()
+    assert cli.main(["baseline", "ccm", str(csv_path), "--x", "A", "--y", "B"]) == 2
+    assert "error: largest library" in capsys.readouterr().err
+
+
 def test_cli_tssavr_output_format(tmp_path, capsys):
     csv_path = _sync_csv(tmp_path)
     capsys.readouterr()
