@@ -50,8 +50,7 @@ class LengthMismatch(SigAreaError):
 
 
 class NameTaken(SigAreaError):
-    """A name the run makes would clash: a channel it adds would reuse an
-    input channel's name, or two pairs would share a trace file name."""
+    """A channel the run adds would reuse an input channel's name."""
 
 
 class ZeroVariance(SigAreaError):

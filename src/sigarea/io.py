@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IoError, NameTaken, NonNumericCell, ParseError, RaggedRows
+from .errors import IoError, NonNumericCell, ParseError, RaggedRows
 from .pipeline import DiscoveryResult, PairReport
 from .series import Panel, Series, interpolate_uniform
 
@@ -181,7 +181,19 @@ def _csv_cell(value) -> str:
 
 
 def _safe_name(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
+    """One-to-one file-name form of a channel name, free of ``_``.
+
+    ASCII letters and digits stay; every other character becomes ``-``
+    plus two lowercase hex digits per UTF-8 byte (``_`` -> ``-5f``, a space
+    -> ``-20``, ``é`` -> ``-c3-a9``).  Every ``-`` in the result starts an
+    escape, so the name can be read back, and with no ``_`` in either part
+    ``trace_<i>_<j>.csv`` names each pair's file once.
+    """
+    return "".join(
+        ch if ch.isascii() and ch.isalnum()
+        else "".join(f"-{byte:02x}" for byte in ch.encode("utf-8", "surrogatepass"))
+        for ch in name
+    )
 
 
 def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
@@ -189,17 +201,12 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
 
     Emits report.json (config, per-ordered-pair scores, graph edges),
     pairs.csv (the same scores as a flat table), and one
-    trace_<i>_<j>.csv per successful pair with columns window_index
+    trace_<i>_<j>.csv per scored pair with columns window_index
     (1-based, the t of the band multiplier), actual_area, mu, lower,
-    upper.  Returns the written paths.  Raises NameTaken, before writing
-    anything, when two pairs would share a trace file name.
+    upper.  Channel names made of ASCII letters and digits appear as they
+    are in <i> and <j>; other characters are escaped (see _safe_name), so
+    distinct pairs never share a file.  Returns the written paths.
     """
-    trace_names: dict[str, tuple[str, str]] = {}
-    for pair in result.traces:
-        name = f"trace_{_safe_name(pair[0])}_{_safe_name(pair[1])}.csv"
-        if name in trace_names:
-            raise NameTaken(f"pairs {trace_names[name]} and {pair} both write {name}")
-        trace_names[name] = pair
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -230,8 +237,8 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
     _atomic_write(pairs_path, "\n".join(pairs_lines) + "\n")
     written.append(pairs_path)
 
-    for name, pair in trace_names.items():
-        trace = result.traces[pair]
+    for pair, trace in result.traces.items():
+        name = f"trace_{_safe_name(pair[0])}_{_safe_name(pair[1])}.csv"
         band = trace.band
         columns = (trace.actual.values, band.mu, band.lower, band.upper)
         rows = ["window_index,actual_area,mu,lower,upper"]

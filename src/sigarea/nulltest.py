@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, LengthMismatch
-from .rng import Shuffler, derive_seed
+from .rng import Shuffler, seed_family
 from .series import Series
 from .signature import (
     AreaSequence,
@@ -27,6 +27,10 @@ from .signature import (
     signed_area_sequence,
     window_count,
 )
+
+# Values per shuffle block buffer: 2**15 float64 values (256 KB) keep a
+# block's area temporaries cache-sized; rows per block = this // T.
+_BLOCK_VALUES = 2**15
 
 
 def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
@@ -107,23 +111,31 @@ def null_ensemble(
     independent permutations within each row.  Rows are seeded per index, so
     any evaluation order reproduces the same matrix bit for bit.
 
-    Each row is shuffled into two length-T buffers and reduced to its
-    windowed areas at once, so beyond the n_shuffles x W result the memory
-    used is O(T).  The result is Fortran-ordered, the layout
+    Rows are shuffled in blocks of max(1, _BLOCK_VALUES // T) into two
+    block buffers, and each block is reduced to its windowed areas by one
+    _window_areas call, which gives every row the bits it would get alone.
+    Beyond the n_shuffles x W result the memory used is
+    O(max(T, _BLOCK_VALUES)).  The result is Fortran-ordered, the layout
     confidence_band reads.
     """
     if n_shuffles < 2:
         raise InsufficientData("need at least 2 shuffles for a null ensemble")
     check_windows(a, b, window_length, stride)
     t_len = len(a)
-    a_row = np.empty(t_len)
-    b_row = np.empty(t_len)
+    block_rows = max(1, _BLOCK_VALUES // t_len)
+    a_block = np.empty((block_rows, t_len))
+    b_block = np.empty((block_rows, t_len))
     out = np.empty((n_shuffles, window_count(t_len, window_length, stride)), order="F")
     shuffler = Shuffler()
-    for k in range(n_shuffles):
-        shuffler.shuffle_into(a_row, a.values, derive_seed(seed, "shuffle", k, 0))
-        shuffler.shuffle_into(b_row, b.values, derive_seed(seed, "shuffle", k, 1))
-        out[k] = _window_areas(a_row, b_row, window_length, stride)
+    row_seed = seed_family(seed, "shuffle")
+    for k0 in range(0, n_shuffles, block_rows):
+        rows = min(block_rows, n_shuffles - k0)
+        for r in range(rows):
+            shuffler.shuffle_into(a_block[r], a.values, row_seed(k0 + r, 0))
+            shuffler.shuffle_into(b_block[r], b.values, row_seed(k0 + r, 1))
+        out[k0 : k0 + rows] = _window_areas(
+            a_block[:rows], b_block[:rows], window_length, stride
+        )
     return out
 
 

@@ -80,7 +80,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class PairReport:
-    """One ordered pair's scores; ``error`` is set when the pair failed."""
+    """One ordered pair's scores; ``error`` is set when the pair, or one of
+    its optional baselines, failed."""
 
     pair: tuple[str, str]
     ssad: float | None = None
@@ -189,8 +190,10 @@ def score_pair(
     names), so the result does not depend on argument order.  The band test
     runs once and the other ordering takes the exactly negated SSAD; TS-SAVR
     and the optional baselines run in both orders.  Returns the (a, b) and
-    (b, a) reports and the name-ordered pair's trace; a failing step raises
-    its SigAreaError.
+    (b, a) reports and the name-ordered pair's trace.  A failing band test
+    or TS-SAVR raises its SigAreaError; a failing baseline leaves only its
+    own column None and puts its error text on that ordering's report
+    (the first failing baseline's, when both fail).
     """
     swapped = b.name < a.name
     if swapped:
@@ -214,10 +217,20 @@ def score_pair(
     verdicts = [
         ts_savr(shift_profile(x, y, config.tau_min, config.tau_max)) for x, y in orders
     ]
-    granger_p = [None, None]
+    baselines = []
     if config.run_granger:
-        granger_p = [granger(y, x, config.granger_tau_max).min_p for x, y in orders]
-    ccm_r2 = [ccm(x, y).max_r2 for x, y in orders] if config.run_ccm else [None, None]
+        baselines.append(
+            ("granger_min_p", lambda x, y: granger(y, x, config.granger_tau_max).min_p)
+        )
+    if config.run_ccm:
+        baselines.append(("ccm_max_r2", lambda x, y: ccm(x, y).max_r2))
+    extras: list[dict] = [{}, {}]
+    for column, run in baselines:
+        for extra, (x, y) in zip(extras, orders):
+            try:
+                extra[column] = run(x, y)
+            except SigAreaError as exc:
+                extra.setdefault("error", _error_text(exc))
     abs_ssad = abs(fwd.score)
     passes = config.theta is not None and abs_ssad >= config.theta
     reports = [
@@ -228,12 +241,9 @@ def score_pair(
             ts_savr=verdict.ratio,
             direction=verdict.label,
             edge=passes and _supports(verdict.label, x.name, y.name),
-            granger_min_p=p,
-            ccm_max_r2=r2,
+            **extra,
         )
-        for (x, y), result, verdict, p, r2 in zip(
-            orders, (fwd, rev), verdicts, granger_p, ccm_r2
-        )
+        for (x, y), result, verdict, extra in zip(orders, (fwd, rev), verdicts, extras)
     ]
     if swapped:
         reports.reverse()
@@ -248,7 +258,9 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     way.  Unordered pairs are scored by score_pair in lexicographic name
     order, so results do not depend on column order or on how pairs are
     scheduled.  A channel that cannot be prepared, or a pair that fails, is
-    reported with its error message; other pairs are unaffected.
+    reported with its error message; other pairs are unaffected.  A pair
+    whose only failure is an optional baseline keeps its scores, edge and
+    trace, with that baseline's column empty and its error message set.
     """
     config = config or RunConfig()
     if len(panel.series) < 2:

@@ -7,6 +7,10 @@ master seed regardless of execution order:
 * Seed derivation: ``derive_seed(master, *parts)`` renders the master seed
   and each part as text, joins them with ``":"``, hashes with SHA-256, and
   keeps the low 128 bits.  Distinct label paths give independent keys.
+  ``seed_family(master, *parts)`` hashes that text plus ``":"`` once and
+  finishes a copy of the hash per call, so ``seed_family(m, *p)(*q)`` is
+  ``derive_seed(m, *p, *q)`` for any nonempty ``q`` at the cost of hashing
+  only ``q``'s text.
 * Bit source: numpy's ``Philox`` (Philox4x64-10: four 64-bit counter words
   and two 64-bit key words) keyed by the low 128 bits of the derived value,
   low word first.  Counter-based generators have no sequential hidden state,
@@ -28,6 +32,7 @@ master seed regardless of execution order:
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 
@@ -35,11 +40,33 @@ _KEY_BITS = (1 << 128) - 1
 _WORD_BITS = (1 << 64) - 1
 
 
+def _seed_text(parts: tuple) -> bytes:
+    return ":".join(map(str, parts)).encode("utf-8")
+
+
+def _seed_of(digest) -> int:
+    return int.from_bytes(digest.digest()[:16], "big")
+
+
 def derive_seed(master: int, *parts: object) -> int:
     """Derive a 128-bit child seed from a master seed and a label path."""
-    text = ":".join([str(int(master))] + [str(p) for p in parts])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:16], "big")
+    return _seed_of(hashlib.sha256(_seed_text((int(master), *parts))))
+
+
+def seed_family(master: int, *parts: object) -> Callable[..., int]:
+    """Seeds below one label path: ``f(*more) == derive_seed(master, *parts, *more)``.
+
+    The shared text ``"master:parts...:"`` is hashed once; each call copies
+    that hash and adds only ``more`` (which must be nonempty).
+    """
+    head = hashlib.sha256(_seed_text((int(master), *parts, "")))
+
+    def child(*more: object) -> int:
+        digest = head.copy()
+        digest.update(_seed_text(more))
+        return _seed_of(digest)
+
+    return child
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -64,23 +91,26 @@ class Shuffler:
     def __init__(self) -> None:
         self._bits = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bits)
-
-    def shuffle_into(self, out: np.ndarray, values: np.ndarray, seed: int) -> None:
-        """Write ``values[permutation(len(values), seed)]`` into the 1-D ``out``."""
-        key = seed & _KEY_BITS
         # The state of a freshly keyed Philox: buffer_pos 4 of 4 means the
         # output buffer is empty, so the first draw starts at counter 0.
-        self._bits.state = {
+        # Only the key words change between calls; the state setter copies
+        # them, so one dict serves every call.
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([key & _WORD_BITS, key >> 64], dtype=np.uint64),
-            },
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def shuffle_into(self, out: np.ndarray, values: np.ndarray, seed: int) -> None:
+        """Write ``values[permutation(len(values), seed)]`` into the 1-D ``out``."""
+        key = seed & _KEY_BITS
+        self._key[0] = key & _WORD_BITS
+        self._key[1] = key >> 64
+        self._bits.state = self._state
         out[...] = values
         self._generator.shuffle(out)
 

@@ -168,29 +168,32 @@ def window_count(t_len: int, window_length: int, stride: int) -> int:
 def _window_areas(
     a: np.ndarray, b: np.ndarray, window_length: int, stride: int
 ) -> np.ndarray:
-    """Windowed signed areas of the pair (a, b) given as two sample vectors.
+    """Windowed signed areas of the pair (a, b), along the last axis.
 
-    Works on the cross-term prefix sums so every window costs O(1):
-    with x = b, y = a (the pair orientation), window [s, e] has
+    ``a`` and ``b`` are one pair's sample vectors, or equal-shape stacks of
+    rows with one pair per row.  Works on the cross-term prefix sums so
+    every window costs O(1): with x = b, y = a (the pair orientation),
+    window [s, e] has
 
         2 A = sum_{k=s}^{e-1} (x_k y_{k+1} - x_{k+1} y_k)
               + y_s (x_e - x_s) - x_s (y_e - y_s)
 
-    and the sum telescopes out of one cumulative array.  The same routine
-    serves single pairs and every row of a shuffle ensemble, so ensemble
-    rows are bit-identical to individually computed sequences.
+    and the sum telescopes out of one cumulative array.  Every step is
+    elementwise or a running sum along a row, so a row of a stack gets the
+    same bits as that row alone: single pairs and blocks of shuffle
+    ensemble rows share this routine and agree bit for bit.
     """
     x, y = b, a
-    t_len = x.size
-    cross = x[:-1] * y[1:]
-    cross -= x[1:] * y[:-1]
-    prefix = np.empty(t_len)
-    prefix[0] = 0.0
-    np.cumsum(cross, out=prefix[1:])
+    t_len = x.shape[-1]
+    cross = x[..., :-1] * y[..., 1:]
+    cross -= x[..., 1:] * y[..., :-1]
+    prefix = np.empty(x.shape)
+    prefix[..., 0] = 0.0
+    np.cumsum(cross, axis=-1, out=prefix[..., 1:])
     # Window starts and ends as strided views; fancy indexing would copy.
     span = (window_count(t_len, window_length, stride) - 1) * stride + 1
-    starts = slice(0, span, stride)
-    ends = slice(window_length - 1, window_length - 1 + span, stride)
+    starts = (..., slice(0, span, stride))
+    ends = (..., slice(window_length - 1, window_length - 1 + span, stride))
     windowed = prefix[ends] - prefix[starts]
     corr = y[starts] * (x[ends] - x[starts]) - x[starts] * (y[ends] - y[starts])
     return 0.5 * (windowed + corr)

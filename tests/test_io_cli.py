@@ -7,16 +7,18 @@ every case; one smoke test goes through a real interpreter.
 
 import json
 import os
+import string
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sigarea
 from sigarea import (
     IoError,
-    NameTaken,
     NonNumericCell,
     Panel,
     ParseError,
@@ -32,7 +34,7 @@ from sigarea import (
     write_csv,
     write_report,
 )
-from sigarea.io import format_float
+from sigarea.io import _safe_name, format_float
 from sigarea.rng import derive_seed
 from sigarea import cli
 
@@ -210,31 +212,77 @@ def _sync_csv(tmp_path, steps=300):
     return path
 
 
-def _colliding_panel():
-    # ('a b', 'c') and ('a_b', 'c') both make trace_a_b_c.csv.
+def _underscore_panel():
+    # Joined with a bare '_', ('a', 'b_c') and ('a_b', 'c') would both name
+    # trace_a_b_c.csv, and mapping ' ' to '_' would merge 'a b' with 'a_b'.
     return Panel(
         tuple(
             gen_white_noise(60, derive_seed(33, k), name=name)
-            for k, name in enumerate(("a b", "a_b", "c"))
+            for k, name in enumerate(("a", "b_c", "a_b", "c", "a b"))
         )
     )
 
 
-def test_write_report_refuses_colliding_trace_names(tmp_path):
-    result = discover(_colliding_panel(), RunConfig(n_shuffles=10))
+def test_write_report_gives_every_pair_its_own_trace_file(tmp_path):
+    result = discover(_underscore_panel(), RunConfig(n_shuffles=10))
     out = tmp_path / "out"
-    with pytest.raises(NameTaken, match="'a b'.*'a_b'"):
-        write_report(result, str(out))
-    assert not out.exists()
+    written = write_report(result, str(out))
+    traces = [os.path.basename(p) for p in written if os.path.basename(p).startswith("trace_")]
+    assert len(traces) == len(set(traces)) == len(result.traces) == 10
+    assert sorted(os.listdir(out)) == sorted(["report.json", "pairs.csv"] + traces)
+    assert {"trace_a_b-5fc.csv", "trace_a-5fb_c.csv", "trace_a-20b_a-5fb.csv"} <= set(traces)
+    # Each file holds its own pair's areas: none was overwritten by another.
+    for name, (pair, trace) in zip(traces, result.traces.items()):
+        first = (out / name).read_text().splitlines()[1].split(",")
+        assert float(first[1]) == trace.actual.values[0], (name, pair)
 
 
-def test_cli_analyze_exits_2_on_colliding_trace_names(tmp_path, capsys):
-    csv_path = str(tmp_path / "collide.csv")
-    write_csv(_colliding_panel(), csv_path)
+def test_cli_analyze_writes_a_trace_per_pair_for_underscore_names(tmp_path, capsys):
+    csv_path = str(tmp_path / "underscores.csv")
+    write_csv(_underscore_panel(), csv_path)
     out = tmp_path / "run"
-    assert cli.main(["analyze", csv_path, "--out", str(out), "--n-shuffles", "10"]) == 2
-    assert "trace_a_b_c.csv" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main(["analyze", csv_path, "--out", str(out), "--n-shuffles", "10"]) == 0
+    assert capsys.readouterr().out.strip() == f"wrote 12 files to {out}"
+    assert len([n for n in os.listdir(out) if n.startswith("trace_")]) == 10
+
+
+def _unescape(safe):
+    # Independent inverse of _safe_name: '-' plus two hex digits is a byte.
+    raw, k = bytearray(), 0
+    while k < len(safe):
+        if safe[k] == "-":
+            raw.append(int(safe[k + 1 : k + 3], 16))
+            k += 3
+        else:
+            raw += safe[k].encode("ascii")
+            k += 1
+    return raw.decode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.text(st.one_of(st.sampled_from("_- aZ9"), st.characters()), max_size=6),
+        min_size=2,
+        max_size=6,
+        unique=True,
+    )
+)
+@example(["\x01" + "0", "\x10"])
+@example(["a", "b_c", "a_b", "c", "a b"])
+def test_trace_file_names_are_one_to_one(names):
+    # Names full of '_', '-', spaces and non-ASCII characters (the empty
+    # name too) read back exactly and give every ordered pair its own file.
+    for name in names:
+        assert set(_safe_name(name)) <= set(string.ascii_letters + string.digits + "-")
+        assert _unescape(_safe_name(name)) == name
+    files = {f"trace_{_safe_name(i)}_{_safe_name(j)}.csv" for i in names for j in names if i != j}
+    assert len(files) == len(names) * (len(names) - 1)
+
+
+@given(st.text(string.ascii_letters + string.digits))
+def test_alphanumeric_names_keep_their_trace_file_names(name):
+    assert _safe_name(name) == name
 
 
 def test_cli_defaults_are_run_config_defaults(monkeypatch):
@@ -341,6 +389,30 @@ def test_cli_ccm_on_a_short_csv_is_a_pair_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["baseline", "ccm", str(csv_path), "--x", "A", "--y", "B"]) == 2
     assert "error: largest library" in capsys.readouterr().err
+
+
+def test_cli_ccm_failure_keeps_the_pair_scores(tmp_path):
+    # The same five-row pair with and without --ccm: only the CCM column
+    # and the error differ, and the trace file is written byte for byte.
+    csv_path = tmp_path / "five.csv"
+    csv_path.write_text("A,B\n0.1,0.5\n0.7,0.2\n0.3,0.9\n0.9,0.4\n0.2,0.6\n")
+    runs = {}
+    for flags in ([], ["--ccm"]):
+        out = tmp_path / f"run{len(flags)}"
+        assert cli.main([
+            "analyze", str(csv_path), "--out", str(out), "--window-length", "2",
+            "--tau-min", "-2", "--tau-max", "2", "--n-shuffles", "50", *flags,
+        ]) == 0
+        runs[bool(flags)] = out
+    plain = json.loads((runs[False] / "report.json").read_text())
+    with_ccm = json.loads((runs[True] / "report.json").read_text())
+    for p, bare in zip(with_ccm["pairs"], plain["pairs"]):
+        assert p.pop("error") == "TooShort: largest library exceeds available manifold points"
+        assert p == bare
+        assert p["ssad"] is not None and p["ts_savr"] is not None
+    assert with_ccm["graph"] == plain["graph"]
+    trace = "trace_A_B.csv"
+    assert (runs[True] / trace).read_bytes() == (runs[False] / trace).read_bytes()
 
 
 def test_cli_tssavr_output_format(tmp_path, capsys):

@@ -28,6 +28,7 @@ from sigarea import (
     ssad,
     ssad_pair_detail,
 )
+from sigarea.nulltest import _BLOCK_VALUES
 from sigarea.rng import derive_seed, permutation
 
 M1_FROZEN = 4.017687416608669
@@ -152,6 +153,21 @@ def test_null_ensemble_rows_match_documented_composition():
 
 def test_null_ensemble_rows_match_documented_composition_long_series():
     _assert_rows_match_documented_composition(5000, 120, 10, 10)
+
+
+@pytest.mark.parametrize(
+    "t_len, n_shuffles",
+    [
+        (1000, 70),  # blocks of 32 rows: 32, 32 and a partial 6
+        (_BLOCK_VALUES + 7, 3),  # T above the block size: one row per block
+    ],
+)
+def test_null_ensemble_rows_match_documented_composition_across_block_edges(
+    t_len, n_shuffles
+):
+    block_rows = max(1, _BLOCK_VALUES // t_len)
+    assert block_rows == 1 or n_shuffles % block_rows
+    _assert_rows_match_documented_composition(t_len, n_shuffles, 10, 10)
 
 
 def test_null_ensemble_memory_is_bounded_by_output_and_rows():

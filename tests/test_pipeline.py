@@ -1,5 +1,7 @@
 """End-to-end discovery runs on the benchmark panels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,30 +117,50 @@ def test_theta_turns_ranking_into_edges():
 
 def test_failing_pair_is_isolated():
     # A period-2 channel makes the lagged-regression design rank-deficient
-    # for any pair that targets it; those pairs must come back with an error
-    # string while the remaining pair is scored normally.
+    # whenever it is the regression's target.  Only those rows lose their
+    # Granger column and carry the error; every pair keeps the scores, edge
+    # and trace it gets without the baseline, and the other rows are whole.
     t_len = 200
     alt = Series("P", np.tile([0.0, 1.0], t_len // 2))
     x = gen_white_noise(t_len, derive_seed(20, 0), name="X")
     y = gen_white_noise(t_len, derive_seed(20, 1), name="Y")
-    result = discover(Panel((x, y, alt)), RunConfig(n_shuffles=50, run_granger=True))
+    panel = Panel((x, y, alt))
+    result = discover(panel, RunConfig(n_shuffles=50, run_granger=True))
+    plain = discover(panel, RunConfig(n_shuffles=50))
 
-    broken = [r for r in result.reports if "P" in r.pair]
-    assert len(broken) == 4
+    broken = [r for r in result.reports if r.error is not None]
+    assert [r.pair for r in broken] == [("X", "P"), ("Y", "P")]
     for r in broken:
-        assert "SingularDesign" in r.error
-        assert r.ssad is None and r.abs_ssad is None and not r.edge
-    clean_fwd = _report(result, ("X", "Y"))
-    assert clean_fwd.error is None
-    assert clean_fwd.ssad is not None
-    assert clean_fwd.granger_min_p is not None
-    assert sorted(result.traces) == [("X", "Y")]
-    assert [e.label for e in result.graph.edges] and all(
-        "P" not in (e.source, e.target) for e in result.graph.edges
-    )
+        assert r.error.startswith("SingularDesign: ")
+        assert r.granger_min_p is None
+    for r, bare in zip(result.reports, plain.reports):
+        assert r.error is not None or r.granger_min_p is not None
+        assert replace(r, granger_min_p=None, error=None) == bare
+    assert sorted(result.traces) == sorted(plain.traces) == [("P", "X"), ("P", "Y"), ("X", "Y")]
+    assert result.graph == plain.graph
     ranked = rank_pairs(result.reports)
     assert ranked[0].pair == ("X", "Y")
     assert [r.pair for r in ranked[1:]] == [("P", "X"), ("P", "Y")]
+
+
+def test_failing_baseline_keeps_the_pair_scores():
+    # Five samples make four CCM manifold points, too few for the default
+    # library sizes: both orderings carry TooShort and no CCM skill, and
+    # keep the band test, TS-SAVR, direction and trace.
+    panel = Panel((
+        Series("A", np.array([0.1, 0.7, 0.3, 0.9, 0.2])),
+        Series("B", np.array([0.5, 0.2, 0.9, 0.4, 0.6])),
+    ))
+    config = RunConfig(window_length=2, tau_min=-2, tau_max=2, n_shuffles=50)
+    plain = discover(panel, config)
+    result = discover(panel, replace(config, run_ccm=True))
+    for r, bare in zip(result.reports, plain.reports):
+        assert r.error == "TooShort: largest library exceeds available manifold points"
+        assert r.ccm_max_r2 is None
+        assert r.ssad is not None and r.ts_savr is not None and r.direction is not None
+        assert replace(r, error=None) == bare
+    assert list(result.traces) == [("A", "B")]
+    assert result.graph == plain.graph
 
 
 def test_constant_channel_only_fails_its_own_pairs():

@@ -14,6 +14,7 @@ from sigarea.rng import (
     derive_seed,
     generator,
     permutation,
+    seed_family,
     standard_normal,
 )
 
@@ -75,6 +76,35 @@ def test_shuffler_matches_permutation_gather(n):
         assert np.array_equal(out, values[permutation(n, seed)])
     shuffler.shuffle_into(out, values, 2**128 + 42)
     assert np.array_equal(out, values[permutation(n, 42)])
+
+
+@pytest.mark.parametrize("master", [0, 7, -3, -(2**70), 2**128 + 5, 2**200 + 7])
+def test_seed_family_matches_derive_seed(master):
+    # k = 0..1000 crosses the 1-, 2- and 3-digit (and one 4-digit) renderings
+    # of the row index that null_ensemble hashes after the shared prefix.
+    row_seed = seed_family(master, "shuffle")
+    for k in range(1001):
+        for s in (0, 1):
+            assert row_seed(k, s) == derive_seed(master, "shuffle", k, s)
+    assert seed_family(master)("noise") == derive_seed(master, "noise")
+    assert seed_family(master, "pair", "X")("Y") == derive_seed(master, "pair", "X", "Y")
+
+
+def test_shuffler_rekeys_in_place_across_row_seeds():
+    # The key words live in one array that every call overwrites; each row
+    # must still be the gather by its own seed's permutation, including keys
+    # whose words have the top bit set and negative seeds (masked to 128 bits).
+    values = np.linspace(-1.0, 1.0, 37) ** 3
+    row_seed = seed_family(11, "shuffle")
+    seeds = [row_seed(k, s) for k in range(100) for s in (0, 1)]
+    seeds += [2**63, 2**127 + 2**63, -1, -(2**64) + 3, 0]
+    assert any(seed & (2**63) for seed in seeds) and any(seed >> 127 for seed in seeds)
+    shuffler = Shuffler()
+    block = np.empty((len(seeds), values.size))
+    for row, seed in zip(block, seeds):
+        shuffler.shuffle_into(row, values, seed)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, values[permutation(values.size, seed)])
 
 
 def test_standard_normal_matches_box_muller_recomputation():
