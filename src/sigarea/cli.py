@@ -8,8 +8,9 @@ Subcommands:
   tssavr <csv> --x A --y B         one ordered pair's variance ratio
   baseline granger|ccm <csv> --x A --y B
 
-ssad scores the pair through the same code as analyze, seeded from the
-sorted pair names, so swapping --x and --y prints the exact negation.
+ssad runs the pair's band test through the same code as analyze, seeded
+from the sorted pair names, so swapping --x and --y prints the exact
+negation; it takes no shift flags and runs no TS-SAVR.
 generate takes --tau-d only for two_species_bidir.
 
 Exit codes: 0 success, 1 usage error (including generator parameters the
@@ -30,7 +31,7 @@ from . import io as sio
 from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
-from .pipeline import RunConfig, discover, prepare_channel, score_pair
+from .pipeline import RunConfig, discover, pair_band_test, prepare_channel
 from .synth import SystemSpec, generate
 
 
@@ -169,8 +170,9 @@ def _prepared_pair(args: argparse.Namespace):
 
 def _ssad(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    forward, _, _ = score_pair(*_prepared_pair(args), config)
-    print(sio.format_float(forward.ssad))
+    x, y = _prepared_pair(args)
+    forward, reverse, _, _ = pair_band_test(x, y, config)
+    print(sio.format_float((reverse if y.name < x.name else forward).score))
     return 0
 
 

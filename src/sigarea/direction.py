@@ -7,11 +7,13 @@ j, shifting i backwards (tau < 0) re-aligns cause with effect and the areas
 swing hard, while shifting forwards decorrelates them; the sample-variance
 ratio Var(tau < 0) / Var(tau > 0) therefore points from cause to effect.
 
-Each ordered pair is profiled from its own shifts, not by mirroring (i, j).
-For a range symmetric about zero the two still agree: the (j, i) area at
-tau is the exact negation of the (i, j) area at -tau (the same samples with
-the path coordinates swapped), so the two ratios are reciprocals up to the
-rounding of the final division.  They differ only for asymmetric ranges.
+The (j, i) area at tau is the exact negation of the (i, j) area at -tau
+(the same samples with the path coordinates swapped), so one profile of
+(i, j) over a range and its mirror image serves both orderings: the
+pipeline profiles each pair once and reads the reverse profile off it
+(ShiftProfile.within).  For a range symmetric about zero the two ratios
+are reciprocals up to the rounding of the final division; they differ only
+for asymmetric ranges.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ class ShiftProfile:
         picked = [self.areas[t] for t in self.taus if (t > 0) == positive]
         return np.asarray(picked, dtype=np.float64)
 
+    def within(self, tau_min: int, tau_max: int, reverse: bool = False) -> ShiftProfile:
+        """This pair's profile over [tau_min, tau_max], or with reverse=True
+        the swapped pair's, whose area at tau is the exact negation of this
+        one's at -tau.  Either way the areas are the bits shift_profile
+        computes for that pair and range."""
+        taus = _nonzero_taus(tau_min, tau_max)
+        if reverse:
+            return ShiftProfile(self.pair[::-1], taus, {t: -self.areas[-t] for t in taus})
+        return ShiftProfile(self.pair, taus, {t: self.areas[t] for t in taus})
+
 
 @dataclass(frozen=True)
 class DirectionVerdict:
@@ -68,21 +80,30 @@ class DirectionVerdict:
         )
 
 
+def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[int, ...]:
+    if tau_min > tau_max:
+        raise ValueError("tau_min must not exceed tau_max")
+    taus = tuple(t for t in range(tau_min, tau_max + 1) if t != 0)
+    if not taus:
+        raise ValueError("shift range contains no nonzero tau")
+    return taus
+
+
 def shift_profile(
-    a: Series, b: Series, tau_min: int = -10, tau_max: int = 10
+    a: Series, b: Series, tau_min: int = -10, tau_max: int = 10, mirrored: bool = False
 ) -> ShiftProfile:
     """Signed areas of the pair across integer shifts of ``a``.
 
     For each tau in [tau_min, tau_max] except 0, the pair is aligned with
     time_shift_pair and the whole overlap is treated as a single window.
     The truncated series are not re-scaled, so areas stay comparable
-    across shifts.
+    across shifts.  mirrored=True also profiles [-tau_max, -tau_min], so
+    that ``within`` can give the (b, a) profile; those shifts come after
+    the requested ones, so a shift that fails fails with the same error.
     """
-    if tau_min > tau_max:
-        raise ValueError("tau_min must not exceed tau_max")
-    taus = tuple(t for t in range(tau_min, tau_max + 1) if t != 0)
-    if not taus:
-        raise ValueError("shift range contains no nonzero tau")
+    taus = _nonzero_taus(tau_min, tau_max)
+    if mirrored:
+        taus += tuple(-t for t in reversed(taus) if -t not in taus)
     areas: dict[int, float] = {}
     for tau in taus:
         shifted_a, shifted_b = time_shift_pair(a, b, tau)

@@ -2,7 +2,8 @@
 
 For every unordered pair of channels the pipeline runs the shuffled-null
 band test once (the reverse order is its exact negation) and the shift
-variance-ratio test in both orders, then reports each ordered pair.  |SSAD|
+variance-ratio test in both orders, then reports each ordered pair.  The
+optional baselines run afterwards, each over all pairs in one burst.  |SSAD|
 is the confidence of a lag/lead link; by default no threshold is applied
 and the output is read as a ranking.  Optional extras: a scaled white-noise
 control channel, and lagged-regression / cross-mapping baseline columns.
@@ -10,7 +11,7 @@ control channel, and lagged-regression / cross-mapping baseline columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
@@ -18,7 +19,7 @@ from typing import Mapping
 from .baselines import ccm, granger
 from .direction import ts_savr, shift_profile
 from .errors import NameTaken, SigAreaError
-from .nulltest import NullBand, ssad_pair_detail
+from .nulltest import NullBand, SsadResult, ssad_pair_detail
 from .rng import derive_seed
 from .series import Panel, Series, difference, scale_unit_range
 from .signature import AreaSequence
@@ -181,24 +182,18 @@ def _supports(label: str, source: str, target: str) -> bool:
     return label in (f"{source}->{target}", f"{source}<->{target}", f"{target}<->{source}")
 
 
-def score_pair(
+def pair_band_test(
     a: Series, b: Series, config: RunConfig
-) -> tuple[PairReport, PairReport, PairTrace]:
-    """Score one pair of prepared channels; the only code that does so.
+) -> tuple[SsadResult, SsadResult, AreaSequence, NullBand]:
+    """The band test of a pair, put in name order and seeded from (seed,
+    "pair", sorted names), so it does not depend on argument order.
 
-    The pair is put in name order and seeded from (seed, "pair", sorted
-    names), so the result does not depend on argument order.  The band test
-    runs once and the other ordering takes the exactly negated SSAD; TS-SAVR
-    and the optional baselines run in both orders.  Returns the (a, b) and
-    (b, a) reports and the name-ordered pair's trace.  A failing band test
-    or TS-SAVR raises its SigAreaError; a failing baseline leaves only its
-    own column None and puts its error text on that ordering's report
-    (the first failing baseline's, when both fail).
+    Returns ssad_pair_detail's results for the name-ordered pair: both
+    ordered SSAD results, then its windowed areas and null band.
     """
-    swapped = b.name < a.name
-    if swapped:
+    if b.name < a.name:
         a, b = b, a
-    fwd, rev, actual, band = ssad_pair_detail(
+    return ssad_pair_detail(
         a,
         b,
         window_length=config.window_length,
@@ -209,14 +204,57 @@ def score_pair(
         alpha=config.alpha,
         pooled=config.pooled,
     )
-    # Each step runs for both orders before the next starts: a pair failing
-    # in several steps reports the earliest step's error, and the two
-    # lagged regressions stay back to back (interleaving them with the other
-    # steps measured about 15% more process CPU, likely idle BLAS threads).
-    orders = ((a, b), (b, a))
+
+
+_Scored = tuple[PairReport, Series, Series]
+
+
+def _pair_statistics(
+    a: Series, b: Series, config: RunConfig
+) -> tuple[list[_Scored], PairTrace]:
+    """Stage 1: the band test and TS-SAVR of one pair, no baseline columns.
+
+    Returns both orderings of the name-ordered pair, each as its report and
+    the (x, y) series stage 2 runs on, and the pair's trace.  A failing band
+    test or TS-SAVR raises its SigAreaError.
+    """
+    if b.name < a.name:
+        a, b = b, a
+    fwd, rev, actual, band = pair_band_test(a, b, config)
+    # One profile over the range and its mirror image serves both orders.
+    profile = shift_profile(a, b, config.tau_min, config.tau_max, mirrored=True)
     verdicts = [
-        ts_savr(shift_profile(x, y, config.tau_min, config.tau_max)) for x, y in orders
+        ts_savr(profile.within(config.tau_min, config.tau_max, reverse))
+        for reverse in (False, True)
     ]
+    abs_ssad = abs(fwd.score)
+    passes = config.theta is not None and abs_ssad >= config.theta
+    scored = [
+        (
+            PairReport(
+                (x.name, y.name),
+                ssad=result.score,
+                abs_ssad=abs_ssad,
+                ts_savr=verdict.ratio,
+                direction=verdict.label,
+                edge=passes and _supports(verdict.label, x.name, y.name),
+            ),
+            x,
+            y,
+        )
+        for (x, y), result, verdict in zip(((a, b), (b, a)), (fwd, rev), verdicts)
+    ]
+    return scored, PairTrace(actual, band)
+
+
+def _with_baselines(scored: list[_Scored], config: RunConfig) -> list[PairReport]:
+    """Stage 2: each enabled baseline column over every scored ordering.
+
+    All lagged regressions run back to back, then every cross mapping, so
+    the BLAS worker threads spin once after the burst rather than once per
+    pair.  A failing baseline leaves only its own column None and puts its
+    error text on that ordering's report (Granger's, when both fail).
+    """
     baselines = []
     if config.run_granger:
         baselines.append(
@@ -224,30 +262,33 @@ def score_pair(
         )
     if config.run_ccm:
         baselines.append(("ccm_max_r2", lambda x, y: ccm(x, y).max_r2))
-    extras: list[dict] = [{}, {}]
+    extras: list[dict] = [{} for _ in scored]
     for column, run in baselines:
-        for extra, (x, y) in zip(extras, orders):
+        for extra, (_, x, y) in zip(extras, scored):
             try:
                 extra[column] = run(x, y)
             except SigAreaError as exc:
                 extra.setdefault("error", _error_text(exc))
-    abs_ssad = abs(fwd.score)
-    passes = config.theta is not None and abs_ssad >= config.theta
-    reports = [
-        PairReport(
-            (x.name, y.name),
-            ssad=result.score,
-            abs_ssad=abs_ssad,
-            ts_savr=verdict.ratio,
-            direction=verdict.label,
-            edge=passes and _supports(verdict.label, x.name, y.name),
-            **extra,
-        )
-        for (x, y), result, verdict, extra in zip(orders, (fwd, rev), verdicts, extras)
-    ]
-    if swapped:
-        reports.reverse()
-    return reports[0], reports[1], PairTrace(actual, band)
+    return [replace(report, **extra) for (report, _, _), extra in zip(scored, extras)]
+
+
+def score_pair(
+    a: Series, b: Series, config: RunConfig
+) -> tuple[PairReport, PairReport, PairTrace]:
+    """Score one pair of prepared channels: stage 1, then stage 2 on it.
+
+    The band test runs once for the name-ordered pair and the other
+    ordering takes the exactly negated SSAD; TS-SAVR and the optional
+    baselines cover both orders.  Returns the (a, b) and (b, a) reports and
+    the name-ordered pair's trace, none of which depends on argument order.
+    A failing band test or TS-SAVR raises its SigAreaError; a failing
+    baseline only empties its own column and sets that report's error.
+    """
+    scored, trace = _pair_statistics(a, b, config)
+    fwd, rev = _with_baselines(scored, config)
+    if b.name < a.name:
+        fwd, rev = rev, fwd
+    return fwd, rev, trace
 
 
 def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
@@ -255,12 +296,15 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
 
     Each series is differenced (order 0 = untouched) and scaled; an
     optional white-noise control channel is appended and scaled the same
-    way.  Unordered pairs are scored by score_pair in lexicographic name
-    order, so results do not depend on column order or on how pairs are
-    scheduled.  A channel that cannot be prepared, or a pair that fails, is
-    reported with its error message; other pairs are unaffected.  A pair
-    whose only failure is an optional baseline keeps its scores, edge and
-    trace, with that baseline's column empty and its error message set.
+    way.  Unordered pairs are taken in lexicographic name order, so results
+    do not depend on column order.  Stage 1 (band test and TS-SAVR) runs
+    for every pair first; stage 2 then runs each enabled baseline over
+    every ordering stage 1 scored, so the reports equal score_pair's pair by
+    pair.  A channel that cannot be prepared, or a pair that fails stage 1,
+    is reported with its error message and gets no baselines; other pairs
+    are unaffected.  A pair whose only failure is an optional baseline
+    keeps its scores, edge and trace, with that baseline's column empty and
+    its error message set.
     """
     config = config or RunConfig()
     if len(panel.series) < 2:
@@ -268,6 +312,7 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     prepared = _prepare(panel, config)
 
     reports: list[PairReport] = []
+    scored: list[_Scored] = []
     edges: list[GraphEdge] = []
     traces: dict[tuple[str, str], PairTrace] = {}
     for i, j in combinations(sorted(prepared), 2):
@@ -275,17 +320,21 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
         error = a if isinstance(a, str) else b if isinstance(b, str) else None
         if error is None:
             try:
-                fwd, rev, traces[(i, j)] = score_pair(a, b, config)
+                orders, traces[(i, j)] = _pair_statistics(a, b, config)
             except SigAreaError as exc:
                 error = _error_text(exc)
         if error is not None:
             reports += (PairReport((i, j), error=error), PairReport((j, i), error=error))
             continue
-        reports += [fwd, rev]
+        scored += orders
+        reports += [report for report, _, _ in orders]
+        fwd = orders[0][0]
         if config.theta is None or fwd.abs_ssad >= config.theta:
             source, target = (j, i) if fwd.direction == f"{j}->{i}" else (i, j)
             edges.append(GraphEdge(source, target, fwd.direction, fwd.abs_ssad))
 
+    finished = {report.pair: report for report in _with_baselines(scored, config)}
+    reports = [finished.get(report.pair, report) for report in reports]
     nodes = tuple(prepared)
     graph = CausalGraph(nodes, tuple(edges))
     return DiscoveryResult(nodes, tuple(reports), graph, traces, config)

@@ -8,7 +8,9 @@ from sigarea import (
     InsufficientData,
     ShiftProfile,
     ShiftTooLarge,
+    SigAreaError,
     ZeroVariance,
+    gen_four_species,
     gen_white_noise,
     scale_unit_range,
     shift_profile,
@@ -58,6 +60,38 @@ def test_swapping_the_pair_mirrors_and_negates_the_profile(sync_scaled):
     rev = shift_profile(ys, xs)
     for tau in fwd.taus:
         assert rev.areas[-tau] == -fwd.areas[tau]
+
+
+@pytest.mark.parametrize("t_len", [200, 1000, 3000])
+@pytest.mark.parametrize("tau_min, tau_max", [(-10, 10), (-3, 7)])
+def test_one_mirrored_profile_gives_both_orders_bit_for_bit(t_len, tau_min, tau_max):
+    # T=3000 takes the math.fsum path of the whole-overlap areas.
+    four = gen_four_species(t_len)
+    noise = gen_white_noise(t_len, derive_seed(11, "mirror", t_len), "W")
+    chans = [scale_unit_range(s) for s in (*four.series, noise)]
+    for a, b in ((chans[0], chans[1]), (chans[1], chans[3]), (chans[2], chans[4])):
+        full = shift_profile(a, b, tau_min, tau_max, mirrored=True)
+        for x, y, reverse in ((a, b, False), (b, a, True)):
+            direct = shift_profile(x, y, tau_min, tau_max)
+            derived = full.within(tau_min, tau_max, reverse)
+            assert derived.pair == direct.pair and derived.taus == direct.taus
+            assert dict(derived.areas) == dict(direct.areas)
+            assert ts_savr(derived) == ts_savr(direct)
+
+
+@pytest.mark.parametrize(
+    "tau_min, tau_max", [(-10, 10), (-3, 20), (-20, 3), (-3, 7), (-8, -2), (2, 9)]
+)
+def test_mirrored_profile_fails_with_the_requested_range_error(tau_min, tau_max):
+    # Eight samples: |tau| >= 8 leaves no overlap and |tau| = 7 one point.
+    a = scale_unit_range(gen_white_noise(8, derive_seed(0, 0), "a"))
+    b = scale_unit_range(gen_white_noise(8, derive_seed(0, 1), "b"))
+    with pytest.raises(SigAreaError) as plain:
+        shift_profile(a, b, tau_min, tau_max)
+    with pytest.raises(SigAreaError) as mirrored:
+        shift_profile(a, b, tau_min, tau_max, mirrored=True)
+    assert type(mirrored.value) is type(plain.value)
+    assert str(mirrored.value) == str(plain.value)
 
 
 def _profile(neg, pos):

@@ -361,6 +361,31 @@ def test_cli_ssad_matches_discover(tmp_path, capsys):
     assert float(printed[("Y", "X")]) == -float(printed[("X", "Y")])
 
 
+@pytest.mark.parametrize("flags", [["--window-length", "2"], ["--window-length", "4", "--stride", "1"]])
+def test_cli_ssad_runs_no_shift_test(tmp_path, capsys, flags):
+    # Eight rows leave no overlap for the default shifts of +-10, which
+    # ssad has no flags for and does not need: it prints the band test's
+    # SSAD, the one analyze reports with a range that fits (0 for windows
+    # of two samples, which have no area; -0.6 for the overlapping fours).
+    csv_path = tmp_path / "eight.csv"
+    rows = zip([0.6, 0.3, 0.0, 0.0, 0.8, 0.9, 0.6, 0.7], [0.6, 0.8, 0.6, 0.0, 0.4, 0.4, 0.8, 0.4])
+    csv_path.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in rows))
+    flags = [*flags, "--n-shuffles", "50"]
+    capsys.readouterr()
+    printed = {}
+    for x, y in (("a", "b"), ("b", "a")):
+        assert cli.main(["ssad", str(csv_path), "--x", x, "--y", y, *flags]) == 0
+        printed[(x, y)] = capsys.readouterr().out.strip()
+    out = tmp_path / "run"
+    assert cli.main([
+        "analyze", str(csv_path), "--out", str(out), *flags, "--tau-min", "-3", "--tau-max", "3",
+    ]) == 0
+    rows = [line.split(",") for line in (out / "pairs.csv").read_text().splitlines()[1:]]
+    assert {(i, j): (ssad, error) for i, j, ssad, *_, error in rows} == {
+        pair: (text, "") for pair, text in printed.items()
+    }
+
+
 def test_cli_analyze_survives_a_constant_channel(tmp_path):
     four = gen_four_species(300)
     csv_path = str(tmp_path / "const.csv")

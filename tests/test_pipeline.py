@@ -1,11 +1,13 @@
 """End-to-end discovery runs on the benchmark panels."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sigarea import (
+    InsufficientData,
     NameTaken,
     PairReport,
     Panel,
@@ -19,6 +21,7 @@ from sigarea import (
     score_pair,
     window_count,
 )
+from sigarea import pipeline
 from sigarea.rng import derive_seed
 
 
@@ -197,6 +200,58 @@ def test_score_pair_ignores_argument_order(sync_scaled):
     assert xy.pair == ("X", "Y") and yx.pair == ("Y", "X")
     assert yx.ssad == -xy.ssad
     assert trace.actual.pair == ("X", "Y")
+
+
+def test_discover_runs_band_tests_then_each_baseline_in_one_burst(monkeypatch):
+    # Every band test comes before the first lagged regression, the
+    # regressions run back to back, and every cross mapping follows them.
+    # A pair whose band test fails gets no baselines.
+    calls = []
+
+    def recorder(kind, function):
+        def record(*args, **kwargs):
+            x, y = args[:2]
+            calls.append((kind, x.name, y.name))
+            if kind == "band" and (x.name, y.name) == ("V", "X"):
+                raise InsufficientData("band test refused")
+            return function(*args, **kwargs)
+
+        return record
+
+    for kind, name in (("band", "ssad_pair_detail"), ("granger", "granger"), ("ccm", "ccm")):
+        monkeypatch.setattr(pipeline, name, recorder(kind, getattr(pipeline, name)))
+    config = RunConfig(n_shuffles=50, add_noise_channel=True, run_granger=True, run_ccm=True)
+    result = discover(gen_four_species(300), config)
+
+    kinds = [kind for kind, _, _ in calls]
+    assert kinds == ["band"] * 10 + ["granger"] * 18 + ["ccm"] * 18
+    for kind in ("granger", "ccm"):
+        pairs = {frozenset(pair) for k, *pair in calls if k == kind}
+        assert len(pairs) == 9 and frozenset(("V", "X")) not in pairs
+    failed = [r for r in result.reports if r.error is not None]
+    assert [r.pair for r in failed] == [("V", "X"), ("X", "V")]
+    assert all(r.error == "InsufficientData: band test refused" for r in failed)
+    assert all(r.granger_min_p is None and r.ccm_max_r2 is None for r in failed)
+
+
+def test_discover_equals_score_pair_pair_by_pair():
+    panel = gen_four_species(300)
+    config = RunConfig(n_shuffles=100, add_noise_channel=True, run_granger=True, run_ccm=True)
+    result = discover(panel, config)
+    by_pair = {r.pair: r for r in result.reports}
+    prepared = pipeline._prepare(panel, config)
+    assert sorted(prepared) == ["V", "W", "X", "Y", "Z"]
+    for k, (i, j) in enumerate(combinations(sorted(prepared), 2)):
+        # Half the pairs are handed to score_pair in reverse order.
+        a, b = (prepared[i], prepared[j]) if k % 2 else (prepared[j], prepared[i])
+        first, second, trace = score_pair(a, b, config)
+        assert (first, second) == (by_pair[(a.name, b.name)], by_pair[(b.name, a.name)])
+        assert first.error is None and first.granger_min_p is not None
+        kept = result.traces[(i, j)]
+        assert trace.actual.pair == kept.actual.pair == (i, j)
+        assert trace.actual.values.tobytes() == kept.actual.values.tobytes()
+        for field in ("lower", "upper", "mu", "sigma"):
+            assert getattr(trace.band, field).tobytes() == getattr(kept.band, field).tobytes()
 
 
 def test_reports_do_not_depend_on_column_order():
