@@ -123,8 +123,11 @@ def _ssr(design: np.ndarray, target: np.ndarray) -> tuple[float, int]:
     return float(resid @ resid), int(rank)
 
 
-def granger(x: Series, y: Series, tau_max: int = 10) -> GrangerResult:
-    """Does the history of ``y`` improve least-squares prediction of ``x``?
+def granger_many(
+    x: Series, ys: Sequence[Series], tau_max: int = 10
+) -> list[GrangerResult]:
+    """Does the history of each ``y`` in ``ys`` improve least-squares
+    prediction of ``x``?  One GrangerResult per driver, in order.
 
     For each lag tau in 1..tau_max, the restricted model regresses x_t on
     its own tau lags (plus intercept) and the unrestricted model adds the
@@ -133,41 +136,58 @@ def granger(x: Series, y: Series, tau_max: int = 10) -> GrangerResult:
         F = ((SSR_r - SSR_u) / tau) / (SSR_u / (T_eff - 2 tau - 1))
 
     is scored against the F(tau, T_eff - 2 tau - 1) upper tail.  min_p is
-    the minimum over lags, uncorrected.  A rank-deficient restricted design
-    (constant input, say) raises SingularDesign; exact collinearity that
-    only affects the unrestricted model is resolved by the minimum-norm
-    solution, since a perfectly predictable target is signal, not an error.
+    the minimum over lags, uncorrected.  The restricted model reads only x,
+    so it is fitted once per lag and shared by every driver; each result
+    has the bits granger(x, y) gives alone.  Every driver must have len(x)
+    (LengthMismatch).  A rank-deficient restricted design (constant input,
+    say) raises SingularDesign for the whole call; exact collinearity that
+    only affects an unrestricted model (a constant driver, say) is resolved
+    by the minimum-norm solution, since a perfectly predictable target is
+    signal, not an error.
     """
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
-    if len(x) != len(y):
+    if any(len(y) != len(x) for y in ys):
         raise LengthMismatch("series must have equal length")
     t_len = len(x)
     if t_len <= 3 * tau_max + 1:
         raise TooShort(
             f"need more than {3 * tau_max + 1} samples for tau_max={tau_max}"
         )
-    per_lag: dict[int, float] = {}
+    per_lag: list[dict[int, float]] = [{} for _ in ys]
     for tau in range(1, tau_max + 1):
         target = x.values[tau:]
         n_rows = target.size
         ones = np.ones((n_rows, 1))
         own = _lag_matrix(x.values, tau)
-        other = _lag_matrix(y.values, tau)
         ssr_r, rank_r = _ssr(np.hstack([ones, own]), target)
         if rank_r < tau + 1:
             raise SingularDesign(
                 f"restricted design is rank-deficient at lag {tau}"
             )
-        ssr_u, _ = _ssr(np.hstack([ones, own, other]), target)
         df2 = n_rows - 2 * tau - 1
-        if ssr_u == 0.0:
-            per_lag[tau] = 0.0
-            continue
-        f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
-        per_lag[tau] = f_upper_tail(f_stat, tau, df2)
-    min_p = min(per_lag.values())
-    return GrangerResult((x.name, y.name), per_lag, min_p, min_p < 0.05)
+        for y, p_values in zip(ys, per_lag):
+            other = _lag_matrix(y.values, tau)
+            ssr_u, _ = _ssr(np.hstack([ones, own, other]), target)
+            if ssr_u == 0.0:
+                p_values[tau] = 0.0
+                continue
+            f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
+            p_values[tau] = f_upper_tail(f_stat, tau, df2)
+    results = []
+    for y, p_values in zip(ys, per_lag):
+        min_p = min(p_values.values())
+        results.append(GrangerResult((x.name, y.name), p_values, min_p, min_p < 0.05))
+    return results
+
+
+def granger(x: Series, y: Series, tau_max: int = 10) -> GrangerResult:
+    """Does the history of ``y`` improve least-squares prediction of ``x``?
+
+    granger_many with the one driver ``y``: the same lagged-regression
+    F-tests per lag, the same minimum p-value and the same errors.
+    """
+    return granger_many(x, (y,), tau_max)[0]
 
 
 @dataclass(frozen=True)
@@ -256,14 +276,15 @@ def _cross_map_skill(d: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> flo
     return _squared_pearson(pred, targets)
 
 
-def ccm(
-    x: Series,
+def ccm_many(
+    xs: Sequence[Series],
     y: Series,
     embed_dim: int = 2,
     lag: int = 1,
     library_sizes: Sequence[int] | None = None,
-) -> CcmResult:
-    """Convergent cross mapping: estimate ``x`` from the manifold of ``y``.
+) -> list[CcmResult]:
+    """Convergent cross mapping: estimate each ``x`` in ``xs`` from the
+    manifold of ``y``.  One CcmResult per target, in order.
 
     The shadow manifold embeds y with delays (y_t, y_{t-lag}, ...,
     y_{t-(E-1)lag}).  For each library size L, the first L manifold points
@@ -276,6 +297,12 @@ def ccm(
     correlation between predicted and actual x, and high skill is evidence
     that x forces y.
 
+    The neighbours depend on y alone, so y is embedded and searched once
+    and every target is scored from the same neighbours at each library
+    size; each result has the bits ccm(x, y) gives alone.  Every target
+    must have len(y) (LengthMismatch), and an error in the embedding or the
+    library sizes is raised for the whole call.
+
     The library is read in steps of at most _CCM_CHUNK columns that end on
     every library size, each merged into a running set of the E+1 nearest
     neighbours, so memory is O(n * _CCM_CHUNK * E) for n manifold points
@@ -284,9 +311,9 @@ def ccm(
     """
     if embed_dim < 1 or lag < 1:
         raise ValueError("embed_dim and lag must be >= 1")
-    if len(x) != len(y):
+    if any(len(x) != len(y) for x in xs):
         raise LengthMismatch("series must have equal length")
-    t_len = len(x)
+    t_len = len(y)
     offset = (embed_dim - 1) * lag
     n_points = t_len - offset
     if n_points < embed_dim + 2:
@@ -296,7 +323,7 @@ def ccm(
     )
     if np.all(manifold == manifold[0]):
         raise DegenerateEmbedding("all shadow-manifold points coincide")
-    targets = x.values[offset:]
+    targets = [x.values[offset:] for x in xs]
     if library_sizes is None:
         sizes = default_library_sizes(n_points)
     else:
@@ -317,7 +344,7 @@ def ccm(
     # has E+1 of those by the first library size.
     near_d = np.full((n_points, n_neigh), np.inf)
     near_i = np.zeros((n_points, n_neigh), dtype=np.intp)
-    skill: dict[int, float] = {}
+    skills: list[dict[int, float]] = [{} for _ in xs]
     start = 0
     for lib in sizes:
         while start < lib:
@@ -329,7 +356,24 @@ def ccm(
             kept = np.take_along_axis(near_i, np.where(held, pos, 0), axis=1)
             near_i = np.where(held, kept, pos + (start - n_neigh))
             start = stop
-        skill[int(lib)] = _cross_map_skill(near_d, near_i, targets)
-    return CcmResult(
-        (x.name, y.name), embed_dim, lag, sizes, skill, max(skill.values())
-    )
+        for skill, target in zip(skills, targets):
+            skill[int(lib)] = _cross_map_skill(near_d, near_i, target)
+    return [
+        CcmResult((x.name, y.name), embed_dim, lag, sizes, skill, max(skill.values()))
+        for x, skill in zip(xs, skills)
+    ]
+
+
+def ccm(
+    x: Series,
+    y: Series,
+    embed_dim: int = 2,
+    lag: int = 1,
+    library_sizes: Sequence[int] | None = None,
+) -> CcmResult:
+    """Convergent cross mapping: estimate ``x`` from the manifold of ``y``.
+
+    ccm_many with the one target ``x``: the same neighbours, skill per
+    library size and errors.
+    """
+    return ccm_many((x,), y, embed_dim, lag, library_sizes)[0]

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InsufficientData, ZeroVariance
+from .errors import InsufficientData, ShiftTooLarge, ZeroVariance
 from .series import Series, time_shift_pair
 from .signature import pair_area
 
@@ -97,9 +97,11 @@ def shift_profile(
     For each tau in [tau_min, tau_max] except 0, the pair is aligned with
     time_shift_pair and the whole overlap is treated as a single window.
     The truncated series are not re-scaled, so areas stay comparable
-    across shifts.  mirrored=True also profiles [-tau_max, -tau_min], so
-    that ``within`` can give the (b, a) profile; those shifts come after
-    the requested ones, so a shift that fails fails with the same error.
+    across shifts.  A shift with |tau| >= T - 1 leaves under two samples
+    to trace a path through and raises ShiftTooLarge.  mirrored=True also
+    profiles [-tau_max, -tau_min], so that ``within`` can give the (b, a)
+    profile; those shifts come after the requested ones, so a shift that
+    fails fails with the same error.
     """
     taus = _nonzero_taus(tau_min, tau_max)
     if mirrored:
@@ -107,6 +109,10 @@ def shift_profile(
     areas: dict[int, float] = {}
     for tau in taus:
         shifted_a, shifted_b = time_shift_pair(a, b, tau)
+        if len(shifted_a) < 2:
+            raise ShiftTooLarge(
+                f"|tau| = {abs(tau)} leaves a one-sample overlap at length {len(a)}"
+            )
         areas[tau] = pair_area(shifted_a, shifted_b)
     return ShiftProfile((a.name, b.name), taus, areas)
 

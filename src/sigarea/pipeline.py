@@ -3,10 +3,11 @@
 For every unordered pair of channels the pipeline runs the shuffled-null
 band test once (the reverse order is its exact negation) and the shift
 variance-ratio test in both orders, then reports each ordered pair.  The
-optional baselines run afterwards, each over all pairs in one burst.  |SSAD|
-is the confidence of a lag/lead link; by default no threshold is applied
-and the output is read as a ranking.  Optional extras: a scaled white-noise
-control channel, and lagged-regression / cross-mapping baseline columns.
+optional baselines run afterwards, each over all pairs in one burst of one
+call per channel.  |SSAD| is the confidence of a lag/lead link; by default
+no threshold is applied and the output is read as a ranking.  Optional
+extras: a scaled white-noise control channel, and lagged-regression /
+cross-mapping baseline columns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-from .baselines import ccm, granger
+from .baselines import ccm_many, granger_many
 from .direction import ts_savr, shift_profile
 from .errors import NameTaken, SigAreaError
 from .nulltest import NullBand, SsadResult, ssad_pair_detail
@@ -250,25 +251,41 @@ def _pair_statistics(
 def _with_baselines(scored: list[_Scored], config: RunConfig) -> list[PairReport]:
     """Stage 2: each enabled baseline column over every scored ordering.
 
-    All lagged regressions run back to back, then every cross mapping, so
-    the BLAS worker threads spin once after the burst rather than once per
-    pair.  A failing baseline leaves only its own column None and puts its
-    error text on that ordering's report (Granger's, when both fail).
+    Orderings are grouped by their y channel, which is all that the costly
+    part of either baseline reads: the target of the lagged regressions
+    granger(y, x), whose restricted fits granger_many makes once per lag,
+    and the shadow manifold of the cross mapping ccm(x, y), whose neighbour
+    search ccm_many makes once.  Every Granger group runs back to back, then
+    every CCM group, so the BLAS worker threads spin once after the burst
+    rather than once per pair.  A failing group leaves only its own column
+    None and puts its error text on each of its orderings' reports
+    (Granger's, when both fail); the error depends only on y and the length,
+    so it is the text each ordering would get on its own.
     """
+    # In discover every ordering of a channel holds the same prepared Series.
+    groups: dict[int, list[int]] = {}
+    for k, (_, _, y) in enumerate(scored):
+        groups.setdefault(id(y), []).append(k)
     baselines = []
     if config.run_granger:
+        tau_max = config.granger_tau_max
         baselines.append(
-            ("granger_min_p", lambda x, y: granger(y, x, config.granger_tau_max).min_p)
+            ("granger_min_p", lambda xs, y: [r.min_p for r in granger_many(y, xs, tau_max)])
         )
     if config.run_ccm:
-        baselines.append(("ccm_max_r2", lambda x, y: ccm(x, y).max_r2))
+        baselines.append(("ccm_max_r2", lambda xs, y: [r.max_r2 for r in ccm_many(xs, y)]))
     extras: list[dict] = [{} for _ in scored]
     for column, run in baselines:
-        for extra, (_, x, y) in zip(extras, scored):
+        for members in groups.values():
+            y = scored[members[0]][2]
             try:
-                extra[column] = run(x, y)
+                values = run([scored[k][1] for k in members], y)
             except SigAreaError as exc:
-                extra.setdefault("error", _error_text(exc))
+                for k in members:
+                    extras[k].setdefault("error", _error_text(exc))
+                continue
+            for k, value in zip(members, values):
+                extras[k][column] = value
     return [replace(report, **extra) for (report, _, _), extra in zip(scored, extras)]
 
 

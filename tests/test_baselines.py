@@ -17,16 +17,19 @@ from sigarea import (
     SingularDesign,
     TooShort,
     ccm,
+    ccm_many,
     default_library_sizes,
     f_upper_tail,
     gen_four_species,
     gen_two_species_sync,
     gen_white_noise,
     granger,
+    granger_many,
     regularized_incomplete_beta,
     scale_unit_range,
 )
 from sigarea.rng import derive_seed, standard_normal
+from sigarea.baselines import _lag_matrix, _ssr
 from sigarea.series import Series
 
 # (df1, df2, f, upper tail) computed with mpmath.betainc at dps=40.
@@ -151,6 +154,87 @@ def test_granger_validation():
         granger(noise, gen_white_noise(99, derive_seed(8, 3)))
     with pytest.raises(ValueError):
         granger(noise, noise, tau_max=0)
+
+
+def _per_pair_granger(x, y, tau_max=10):
+    """The lagged-regression test of one driver as it was written before
+    the restricted fits were shared: both fits per lag and pair."""
+    if tau_max < 1:
+        raise ValueError("tau_max must be >= 1")
+    if len(x) != len(y):
+        raise LengthMismatch("series must have equal length")
+    t_len = len(x)
+    if t_len <= 3 * tau_max + 1:
+        raise TooShort(
+            f"need more than {3 * tau_max + 1} samples for tau_max={tau_max}"
+        )
+    per_lag = {}
+    for tau in range(1, tau_max + 1):
+        target = x.values[tau:]
+        n_rows = target.size
+        ones = np.ones((n_rows, 1))
+        own = _lag_matrix(x.values, tau)
+        other = _lag_matrix(y.values, tau)
+        ssr_r, rank_r = _ssr(np.hstack([ones, own]), target)
+        if rank_r < tau + 1:
+            raise SingularDesign(
+                f"restricted design is rank-deficient at lag {tau}"
+            )
+        ssr_u, _ = _ssr(np.hstack([ones, own, other]), target)
+        df2 = n_rows - 2 * tau - 1
+        if ssr_u == 0.0:
+            per_lag[tau] = 0.0
+            continue
+        f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
+        per_lag[tau] = f_upper_tail(f_stat, tau, df2)
+    min_p = min(per_lag.values())
+    return baselines.GrangerResult((x.name, y.name), per_lag, min_p, min_p < 0.05)
+
+
+def _lagged_copy(s, lag):
+    values = np.zeros(len(s))
+    values[lag:] = s.values[:-lag]
+    return Series(f"{s.name}_lag{lag}", values)
+
+
+@pytest.mark.parametrize("tau_max", [1, 4, 10])
+def test_granger_many_matches_the_per_pair_test_bit_for_bit(tau_max):
+    four = gen_four_species(600)
+    noise = gen_white_noise(600, derive_seed(8, "many"), "W")
+    chans = [scale_unit_range(s) for s in (*four.series, noise)]
+    # A lagged copy of the target makes one unrestricted fit exact (p = 0).
+    for target in chans[:3]:
+        drivers = [c for c in chans if c is not target] + [_lagged_copy(target, 1)]
+        got = granger_many(target, drivers, tau_max)
+        assert len(got) == len(drivers)
+        for result, driver in zip(got, drivers):
+            want = _per_pair_granger(target, driver, tau_max)
+            assert result == want
+            assert list(result.per_lag_p.items()) == list(want.per_lag_p.items())
+            assert result.min_p == want.min_p
+            assert granger(target, driver, tau_max) == want
+
+
+def test_granger_many_errors_follow_the_target_not_the_drivers():
+    noise = gen_white_noise(100, derive_seed(8, "grp", 0), "u")
+    other = gen_white_noise(100, derive_seed(8, "grp", 1), "v")
+    flat = Series("flat", np.full(100, 0.7))
+    # A constant driver only makes its own unrestricted design collinear,
+    # which the minimum-norm fit absorbs; its neighbours are untouched.
+    got = granger_many(noise, [other, flat, other], tau_max=3)
+    assert [r.pair for r in got] == [("u", "v"), ("u", "flat"), ("u", "v")]
+    for result, driver in zip(got, (other, flat, other)):
+        assert result == _per_pair_granger(noise, driver, 3)
+    # A rank-deficient target fails every driver with the per-pair text.
+    with pytest.raises(SingularDesign) as caught:
+        _per_pair_granger(flat, noise, 3)
+    for drivers in ([noise], [noise, other], [other, flat]):
+        with pytest.raises(SingularDesign) as group:
+            granger_many(flat, drivers, tau_max=3)
+        assert str(group.value) == str(caught.value)
+    assert str(caught.value) == "restricted design is rank-deficient at lag 1"
+    with pytest.raises(LengthMismatch, match="series must have equal length"):
+        granger_many(noise, [other, gen_white_noise(99, derive_seed(8, 3))])
 
 
 def test_ccm_skill_high_and_converging_for_forced_pair(sync_pair):
@@ -294,6 +378,47 @@ def test_ccm_matches_full_matrix_search_bit_for_bit(n):
                         x, y, embed_dim, lag, got.library_sizes, lowest_index=False
                     )
                     assert dict(got.skill) == want
+
+
+@pytest.mark.parametrize("n", [120, 600])
+@pytest.mark.parametrize("embed_dim, lag", [(1, 1), (2, 1), (3, 2)])
+def test_ccm_many_matches_full_matrix_search_per_target(n, embed_dim, lag):
+    # One neighbour search on the manifold of y scores every target; each
+    # skill has the bits of the all-pairs search for that target alone.
+    four = gen_four_species(n)
+    noise = gen_white_noise(n, derive_seed(9, "oracle"))
+    chans = [scale_unit_range(s) for s in (*four.series, noise)]
+    custom = (7, 100, 300, 511, 560) if n == 600 else (5, 50, 51, 90)
+    for y, xs in ((chans[1], [chans[0], chans[2], chans[3]]), (chans[4], chans[:4])):
+        for sizes in (None, custom):
+            got = ccm_many(xs, y, embed_dim, lag, sizes)
+            assert [r.pair for r in got] == [(x.name, y.name) for x in xs]
+            for result, x in zip(got, xs):
+                want = _full_matrix_ccm(
+                    x, y, embed_dim, lag, result.library_sizes, lowest_index=False
+                )
+                assert dict(result.skill) == want
+                assert result.max_r2 == max(want.values())
+                assert result == ccm(x, y, embed_dim, lag, sizes)
+
+
+def test_ccm_many_errors_follow_the_manifold_not_the_targets():
+    noise = gen_white_noise(100, derive_seed(9, "grp", 0), "u")
+    other = gen_white_noise(100, derive_seed(9, "grp", 1), "v")
+    flat = Series("flat", np.full(100, 0.3))
+    # A constant target is scored like any other and leaves the rest alone.
+    got = ccm_many([other, flat, other], noise)
+    assert got[0] == got[2] == ccm(other, noise)
+    assert got[1] == ccm(flat, noise)
+    with pytest.raises(DegenerateEmbedding) as caught:
+        ccm(noise, flat)
+    for xs in ([noise], [noise, other]):
+        with pytest.raises(DegenerateEmbedding) as group:
+            ccm_many(xs, flat)
+        assert str(group.value) == str(caught.value)
+    assert str(caught.value) == "all shadow-manifold points coincide"
+    with pytest.raises(LengthMismatch, match="series must have equal length"):
+        ccm_many([other, gen_white_noise(99, derive_seed(9, 3))], noise)
 
 
 @pytest.mark.parametrize("chunk", [baselines._CCM_CHUNK, 7, 1])

@@ -94,6 +94,19 @@ def test_mirrored_profile_fails_with_the_requested_range_error(tau_min, tau_max)
     assert str(mirrored.value) == str(plain.value)
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_a_one_sample_overlap_is_a_shift_error(mirrored):
+    # Eight samples: tau = +-7 leaves one aligned point, which traces no
+    # path; the error names the shift and the length.
+    a = scale_unit_range(gen_white_noise(8, derive_seed(0, 0), "a"))
+    b = scale_unit_range(gen_white_noise(8, derive_seed(0, 1), "b"))
+    assert len(shift_profile(a, b, -6, 6, mirrored).taus) == 12
+    for tau_min, tau_max in ((-3, 7), (-7, 3), (1, 7)):
+        with pytest.raises(ShiftTooLarge) as caught:
+            shift_profile(a, b, tau_min, tau_max, mirrored)
+        assert str(caught.value) == "|tau| = 7 leaves a one-sample overlap at length 8"
+
+
 def _profile(neg, pos):
     taus = tuple(range(-len(neg), 0)) + tuple(range(1, len(pos) + 1))
     areas = {t: v for t, v in zip(taus, list(neg) + list(pos))}

@@ -440,6 +440,25 @@ def test_cli_ccm_failure_keeps_the_pair_scores(tmp_path):
     assert (runs[True] / trace).read_bytes() == (runs[False] / trace).read_bytes()
 
 
+def test_cli_shift_past_the_series_is_a_shift_error(tmp_path):
+    # Eight rows: the first shift that leaves under two aligned samples is
+    # tau = 7, and both orders carry its error rather than a path error.
+    csv_path = tmp_path / "eight.csv"
+    rows = [f"{0.1 * k:.1f},{(0.37 * k * k) % 1:.3f}" for k in range(8)]
+    csv_path.write_text("A,B\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    assert cli.main([
+        "analyze", str(csv_path), "--out", str(out), "--window-length", "2",
+        "--tau-min", "-3", "--tau-max", "20", "--n-shuffles", "50",
+    ]) == 0
+    pairs = json.loads((out / "report.json").read_text())["pairs"]
+    assert [(p["i"], p["j"]) for p in pairs] == [("A", "B"), ("B", "A")]
+    assert all(
+        p["error"] == "ShiftTooLarge: |tau| = 7 leaves a one-sample overlap at length 8"
+        for p in pairs
+    )
+
+
 def test_cli_tssavr_output_format(tmp_path, capsys):
     csv_path = _sync_csv(tmp_path)
     capsys.readouterr()

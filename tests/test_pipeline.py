@@ -13,10 +13,13 @@ from sigarea import (
     Panel,
     RunConfig,
     Series,
+    SigAreaError,
+    ccm,
     discover,
     gen_four_species,
     gen_two_species_sync,
     gen_white_noise,
+    granger,
     rank_pairs,
     score_pair,
     window_count,
@@ -205,33 +208,98 @@ def test_score_pair_ignores_argument_order(sync_scaled):
 def test_discover_runs_band_tests_then_each_baseline_in_one_burst(monkeypatch):
     # Every band test comes before the first lagged regression, the
     # regressions run back to back, and every cross mapping follows them.
-    # A pair whose band test fails gets no baselines.
+    # Each baseline makes one call per y channel, covering each scored
+    # ordering (x, y) once.  A pair whose band test fails gets no baselines.
     calls = []
 
-    def recorder(kind, function):
-        def record(*args, **kwargs):
-            x, y = args[:2]
-            calls.append((kind, x.name, y.name))
-            if kind == "band" and (x.name, y.name) == ("V", "X"):
+    def band(function):
+        def record(a, b, *args, **kwargs):
+            calls.append(("band", {(a.name, b.name)}))
+            if (a.name, b.name) == ("V", "X"):
                 raise InsufficientData("band test refused")
-            return function(*args, **kwargs)
+            return function(a, b, *args, **kwargs)
 
         return record
 
-    for kind, name in (("band", "ssad_pair_detail"), ("granger", "granger"), ("ccm", "ccm")):
-        monkeypatch.setattr(pipeline, name, recorder(kind, getattr(pipeline, name)))
+    def granger_group(function):
+        def record(target, drivers, *args, **kwargs):
+            calls.append(("granger", {(d.name, target.name) for d in drivers}))
+            return function(target, drivers, *args, **kwargs)
+
+        return record
+
+    def ccm_group(function):
+        def record(targets, manifold, *args, **kwargs):
+            calls.append(("ccm", {(t.name, manifold.name) for t in targets}))
+            return function(targets, manifold, *args, **kwargs)
+
+        return record
+
+    for name, recorder in (
+        ("ssad_pair_detail", band),
+        ("granger_many", granger_group),
+        ("ccm_many", ccm_group),
+    ):
+        monkeypatch.setattr(pipeline, name, recorder(getattr(pipeline, name)))
     config = RunConfig(n_shuffles=50, add_noise_channel=True, run_granger=True, run_ccm=True)
     result = discover(gen_four_species(300), config)
 
-    kinds = [kind for kind, _, _ in calls]
-    assert kinds == ["band"] * 10 + ["granger"] * 18 + ["ccm"] * 18
+    kinds = [kind for kind, _ in calls]
+    assert kinds == ["band"] * 10 + ["granger"] * 5 + ["ccm"] * 5
+    channels = ["V", "W", "X", "Y", "Z"]
+    scored = {
+        (i, j) for i in channels for j in channels if i != j and {i, j} != {"V", "X"}
+    }
     for kind in ("granger", "ccm"):
-        pairs = {frozenset(pair) for k, *pair in calls if k == kind}
+        groups = [orderings for k, orderings in calls if k == kind]
+        pairs = {frozenset(pair) for orderings in groups for pair in orderings}
         assert len(pairs) == 9 and frozenset(("V", "X")) not in pairs
+        assert sum(len(orderings) for orderings in groups) == 18
+        assert set().union(*groups) == scored
+        assert sorted({y for orderings in groups for _, y in orderings}) == channels
+        assert all(len({y for _, y in orderings}) == 1 for orderings in groups)
     failed = [r for r in result.reports if r.error is not None]
     assert [r.pair for r in failed] == [("V", "X"), ("X", "V")]
     assert all(r.error == "InsufficientData: band test refused" for r in failed)
     assert all(r.granger_min_p is None and r.ccm_max_r2 is None for r in failed)
+
+
+def _single(run, *args):
+    try:
+        return run(*args), None
+    except SigAreaError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def test_grouped_baselines_give_each_ordering_its_own_result():
+    # P alternates, so its lag-2 restricted design is rank-deficient: every
+    # regression that targets P fails with the per-ordering text, and the
+    # regressions of A and B on P are unaffected.  C is constant: it fails
+    # both baselines as y (Granger's error wins) and is a harmless x.
+    t_len = 200
+    a = gen_white_noise(t_len, derive_seed(21, "grp", 0), "A")
+    b = gen_white_noise(t_len, derive_seed(21, "grp", 1), "B")
+    p = Series("P", np.tile([0.0, 1.0], t_len // 2))
+    c = Series("C", np.full(t_len, 0.5))
+    chans = (a, b, p, c)
+    scored = [(PairReport((x.name, y.name)), x, y) for x in chans for y in chans if x is not y]
+    config = RunConfig(run_granger=True, run_ccm=True, granger_tau_max=3)
+    reports = pipeline._with_baselines(scored, config)
+    assert [r.pair for r in reports] == [r.pair for r, _, _ in scored]
+    errors = set()
+    for report, (_, x, y) in zip(reports, scored):
+        gr, gr_error = _single(granger, y, x, 3)
+        cm, cm_error = _single(ccm, x, y)
+        assert report.granger_min_p == (gr and gr.min_p)
+        assert report.ccm_max_r2 == (cm and cm.max_r2)
+        assert report.error == (gr_error or cm_error)
+        errors.add((y.name, report.error))
+    assert errors == {
+        ("A", None),
+        ("B", None),
+        ("P", "SingularDesign: restricted design is rank-deficient at lag 2"),
+        ("C", "SingularDesign: restricted design is rank-deficient at lag 1"),
+    }
 
 
 def test_discover_equals_score_pair_pair_by_pair():
