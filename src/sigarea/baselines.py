@@ -212,6 +212,10 @@ class CcmResult:
 
 
 def _squared_pearson(pred: np.ndarray, actual: np.ndarray) -> float:
+    # A constant target carries no information; centring it leaves rounding
+    # noise, not zeros, which the denominator guard would let through.
+    if actual.max() == actual.min():
+        return 0.0
     pc = pred - pred.mean()
     ac = actual - actual.mean()
     denom = math.sqrt(float(pc @ pc) * float(ac @ ac))

@@ -13,11 +13,11 @@ from the sorted pair names, so swapping --x and --y prints the exact
 negation; it takes no shift flags and runs no TS-SAVR.
 generate takes --tau-d only for two_species_bidir.
 
-Exit codes: 0 success, 1 usage error (including generator parameters the
-system does not take), 2 data error (unreadable or malformed input,
-analysis failure).  The default seed is 0, or the value
-of the SIGAREA_SEED environment variable when set; an explicit --seed
-always wins.
+Exit codes: 0 success, 1 usage or parameter error (a bad flag value, a
+generator parameter the system does not take), 2 data error (unreadable
+or malformed input, under two channels, analysis failure).  The default
+seed is 0, or the value of the SIGAREA_SEED environment variable when set;
+an explicit --seed always wins.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
 from .pipeline import RunConfig, discover, pair_band_test, prepare_channel
-from .synth import SystemSpec, generate
+from .synth import BIDIR_TAUS, SYSTEMS, SystemSpec, generate
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -84,12 +84,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a benchmark system as CSV")
-    gen.add_argument("system", choices=[
-        "two_species_sync", "two_species_bidir", "four_species"])
+    gen.add_argument("system", choices=SYSTEMS)
     gen.add_argument("--steps", type=int, default=None,
                      help="sample count (default 3000 for the bidirectional "
                           "system, 1000 otherwise)")
-    gen.add_argument("--tau-d", type=int, default=0, choices=[0, 2, 4],
+    gen.add_argument("--tau-d", type=int, default=0, choices=BIDIR_TAUS,
                      help="X->Y delay; two_species_bidir only")
     gen.add_argument("--seed", type=int, default=None,
                      help="accepted for interface symmetry; the map "
@@ -132,10 +131,7 @@ def _generate(args: argparse.Namespace) -> int:
     steps = args.steps
     if steps is None:
         steps = 3000 if args.system == "two_species_bidir" else 1000
-    try:
-        panel = generate(SystemSpec(args.system, steps, args.tau_d))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    panel = generate(SystemSpec(args.system, steps, args.tau_d))
     sio.write_csv(panel, args.out)
     print(f"wrote {panel.length} samples of {', '.join(panel.names)} to {args.out}")
     return 0
@@ -147,10 +143,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = {k: v for k, v in vars(args).items() if k in fields}
     if args.seed is None:
         given["seed"] = _default_seed()
-    try:
-        return RunConfig(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return RunConfig(**given)
 
 
 def _analyze(args: argparse.Namespace) -> int:
@@ -213,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:  # parameter errors, UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -2,8 +2,10 @@
 
 Every data-dependent failure raises one of these, all rooted at
 :class:`SigAreaError` so callers (and the CLI) can catch the family at once.
-Programming errors (bad argument types, impossible parameter combinations)
-raise plain ValueError/TypeError instead.
+A parameter outside its documented range raises plain ValueError instead,
+and bad argument types TypeError.  The CLI maps the two families in one
+place: ValueError exits 1 (a usage error), SigAreaError exits 2 (a data
+error).
 """
 
 from __future__ import annotations

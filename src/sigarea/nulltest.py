@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientData, LengthMismatch
 from .rng import Shuffler, seed_family
-from .series import Series
+from .series import Series, _freeze
 from .signature import (
     AreaSequence,
     _window_areas,
@@ -69,9 +69,7 @@ class NullBand:
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper", "mu", "sigma"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True).reshape(-1)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if not (self.lower.size == self.upper.size == self.mu.size == self.sigma.size):
             raise LengthMismatch("band component lengths differ")
 
@@ -88,9 +86,7 @@ class SsadResult:
     score: float
 
     def __post_init__(self) -> None:
-        steps = np.array(self.per_step, dtype=np.int64, copy=True).reshape(-1)
-        steps.setflags(write=False)
-        object.__setattr__(self, "per_step", steps)
+        object.__setattr__(self, "per_step", _freeze(self.per_step, np.int64))
         object.__setattr__(self, "pair", tuple(self.pair))
         object.__setattr__(self, "score", float(self.score))
 

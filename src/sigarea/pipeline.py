@@ -18,8 +18,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .baselines import ccm_many, granger_many
-from .direction import ts_savr, shift_profile
-from .errors import NameTaken, SigAreaError
+from .direction import _nonzero_taus, shift_profile, ts_savr
+from .errors import InsufficientData, NameTaken, SigAreaError
 from .nulltest import NullBand, SsadResult, ssad_pair_detail
 from .rng import derive_seed
 from .series import Panel, Series, difference, scale_unit_range
@@ -66,8 +66,7 @@ class RunConfig:
             raise ValueError("rho must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.tau_min > self.tau_max:
-            raise ValueError("tau_min must not exceed tau_max")
+        _nonzero_taus(self.tau_min, self.tau_max)
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1] when given")
         if self.difference_order < 0:
@@ -207,20 +206,15 @@ def pair_band_test(
     )
 
 
-_Scored = tuple[PairReport, Series, Series]
-
-
 def _pair_statistics(
     a: Series, b: Series, config: RunConfig
-) -> tuple[list[_Scored], PairTrace]:
-    """Stage 1: the band test and TS-SAVR of one pair, no baseline columns.
+) -> tuple[PairReport, PairReport, PairTrace]:
+    """Stage 1: the band test and TS-SAVR of the name-ordered pair (a, b).
 
-    Returns both orderings of the name-ordered pair, each as its report and
-    the (x, y) series stage 2 runs on, and the pair's trace.  A failing band
-    test or TS-SAVR raises its SigAreaError.
+    Returns the (a, b) and (b, a) reports, without baseline columns, and the
+    pair's trace, as score_pair does.  A failing band test or TS-SAVR raises
+    its SigAreaError.
     """
-    if b.name < a.name:
-        a, b = b, a
     fwd, rev, actual, band = pair_band_test(a, b, config)
     # One profile over the range and its mirror image serves both orders.
     profile = shift_profile(a, b, config.tau_min, config.tau_max, mirrored=True)
@@ -230,42 +224,43 @@ def _pair_statistics(
     ]
     abs_ssad = abs(fwd.score)
     passes = config.theta is not None and abs_ssad >= config.theta
-    scored = [
-        (
-            PairReport(
-                (x.name, y.name),
-                ssad=result.score,
-                abs_ssad=abs_ssad,
-                ts_savr=verdict.ratio,
-                direction=verdict.label,
-                edge=passes and _supports(verdict.label, x.name, y.name),
-            ),
-            x,
-            y,
+    forward, reverse = [
+        PairReport(
+            (x, y),
+            ssad=result.score,
+            abs_ssad=abs_ssad,
+            ts_savr=verdict.ratio,
+            direction=verdict.label,
+            edge=passes and _supports(verdict.label, x, y),
         )
-        for (x, y), result, verdict in zip(((a, b), (b, a)), (fwd, rev), verdicts)
+        for (x, y), result, verdict in zip(
+            ((a.name, b.name), (b.name, a.name)), (fwd, rev), verdicts
+        )
     ]
-    return scored, PairTrace(actual, band)
+    return forward, reverse, PairTrace(actual, band)
 
 
-def _with_baselines(scored: list[_Scored], config: RunConfig) -> list[PairReport]:
-    """Stage 2: each enabled baseline column over every scored ordering.
+def _with_baselines(
+    reports: list[PairReport], channels: Mapping[str, Series | str], config: RunConfig
+) -> list[PairReport]:
+    """Stage 2: each enabled baseline column over every error-free report.
 
-    Orderings are grouped by their y channel, which is all that the costly
-    part of either baseline reads: the target of the lagged regressions
-    granger(y, x), whose restricted fits granger_many makes once per lag,
-    and the shadow manifold of the cross mapping ccm(x, y), whose neighbour
-    search ccm_many makes once.  Every Granger group runs back to back, then
-    every CCM group, so the BLAS worker threads spin once after the burst
-    rather than once per pair.  A failing group leaves only its own column
+    Report (x, y) runs on channels[x] and channels[y]; a report that already
+    carries an error is returned as it is.  Orderings are grouped by their
+    y channel, which is all that the costly part of either baseline reads:
+    the target of the lagged regressions granger(y, x), whose restricted
+    fits granger_many makes once per lag, and the shadow manifold of the
+    cross mapping ccm(x, y), whose neighbour search ccm_many makes once.
+    Every Granger group runs back to back, then every CCM group, so the
+    BLAS worker threads spin once after the burst rather than once per pair.  A failing group leaves only its own column
     None and puts its error text on each of its orderings' reports
     (Granger's, when both fail); the error depends only on y and the length,
     so it is the text each ordering would get on its own.
     """
-    # In discover every ordering of a channel holds the same prepared Series.
-    groups: dict[int, list[int]] = {}
-    for k, (_, _, y) in enumerate(scored):
-        groups.setdefault(id(y), []).append(k)
+    groups: dict[str, list[int]] = {}
+    for k, report in enumerate(reports):
+        if report.error is None:
+            groups.setdefault(report.pair[1], []).append(k)
     baselines = []
     if config.run_granger:
         tau_max = config.granger_tau_max
@@ -274,19 +269,18 @@ def _with_baselines(scored: list[_Scored], config: RunConfig) -> list[PairReport
         )
     if config.run_ccm:
         baselines.append(("ccm_max_r2", lambda xs, y: [r.max_r2 for r in ccm_many(xs, y)]))
-    extras: list[dict] = [{} for _ in scored]
+    extras: list[dict] = [{} for _ in reports]
     for column, run in baselines:
-        for members in groups.values():
-            y = scored[members[0]][2]
+        for y, members in groups.items():
             try:
-                values = run([scored[k][1] for k in members], y)
+                values = run([channels[reports[k].pair[0]] for k in members], channels[y])
             except SigAreaError as exc:
                 for k in members:
                     extras[k].setdefault("error", _error_text(exc))
                 continue
             for k, value in zip(members, values):
                 extras[k][column] = value
-    return [replace(report, **extra) for (report, _, _), extra in zip(scored, extras)]
+    return [replace(report, **extra) for report, extra in zip(reports, extras)]
 
 
 def score_pair(
@@ -300,12 +294,17 @@ def score_pair(
     the name-ordered pair's trace, none of which depends on argument order.
     A failing band test or TS-SAVR raises its SigAreaError; a failing
     baseline only empties its own column and sets that report's error.
+    Two channels with the same name raise ValueError: stage 2 looks the
+    channels up by name.
     """
-    scored, trace = _pair_statistics(a, b, config)
-    fwd, rev = _with_baselines(scored, config)
-    if b.name < a.name:
-        fwd, rev = rev, fwd
-    return fwd, rev, trace
+    if a.name == b.name:
+        raise ValueError(f"both channels are named {a.name!r}")
+    swapped = b.name < a.name
+    if swapped:
+        a, b = b, a
+    fwd, rev, trace = _pair_statistics(a, b, config)
+    fwd, rev = _with_baselines([fwd, rev], {a.name: a, b.name: b}, config)
+    return (rev, fwd, trace) if swapped else (fwd, rev, trace)
 
 
 def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
@@ -321,15 +320,14 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     is reported with its error message and gets no baselines; other pairs
     are unaffected.  A pair whose only failure is an optional baseline
     keeps its scores, edge and trace, with that baseline's column empty and
-    its error message set.
+    its error message set.  Fewer than 2 channels raise InsufficientData.
     """
     config = config or RunConfig()
     if len(panel.series) < 2:
-        raise ValueError("need at least 2 channels to form pairs")
+        raise InsufficientData("need at least 2 channels to form pairs")
     prepared = _prepare(panel, config)
 
     reports: list[PairReport] = []
-    scored: list[_Scored] = []
     edges: list[GraphEdge] = []
     traces: dict[tuple[str, str], PairTrace] = {}
     for i, j in combinations(sorted(prepared), 2):
@@ -337,21 +335,17 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
         error = a if isinstance(a, str) else b if isinstance(b, str) else None
         if error is None:
             try:
-                orders, traces[(i, j)] = _pair_statistics(a, b, config)
+                fwd, rev, traces[(i, j)] = _pair_statistics(a, b, config)
             except SigAreaError as exc:
                 error = _error_text(exc)
         if error is not None:
-            reports += (PairReport((i, j), error=error), PairReport((j, i), error=error))
-            continue
-        scored += orders
-        reports += [report for report, _, _ in orders]
-        fwd = orders[0][0]
-        if config.theta is None or fwd.abs_ssad >= config.theta:
+            fwd, rev = PairReport((i, j), error=error), PairReport((j, i), error=error)
+        elif config.theta is None or fwd.abs_ssad >= config.theta:
             source, target = (j, i) if fwd.direction == f"{j}->{i}" else (i, j)
             edges.append(GraphEdge(source, target, fwd.direction, fwd.abs_ssad))
+        reports += (fwd, rev)
 
-    finished = {report.pair: report for report in _with_baselines(scored, config)}
-    reports = [finished.get(report.pair, report) for report in reports]
+    reports = _with_baselines(reports, prepared, config)
     nodes = tuple(prepared)
     graph = CausalGraph(nodes, tuple(edges))
     return DiscoveryResult(nodes, tuple(reports), graph, traces, config)

@@ -22,8 +22,9 @@ from .errors import (
 from . import rng
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+def _freeze(values: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """A read-only flat copy of ``values``."""
+    out = np.array(values, dtype=dtype, copy=True).reshape(-1)
     out.setflags(write=False)
     return out
 
@@ -78,9 +79,6 @@ class Panel:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def with_series(self, extra: Series) -> "Panel":
-        return Panel(self.series + (extra,))
 
 
 def scale_unit_range(s: Series) -> Series:
@@ -141,16 +139,21 @@ def interpolate_uniform(
     return Series(name, np.interp(grid, t, v))
 
 
+def check_lengths(a: Series, b: Series) -> None:
+    """Raise LengthMismatch unless the pair (a, b) has one length."""
+    if len(a) != len(b):
+        raise LengthMismatch(
+            f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
+        )
+
+
 def time_shift_pair(a: Series, b: Series, tau: int) -> tuple[Series, Series]:
     """Align a shifted by ``tau`` against b on their common overlap.
 
     tau > 0 pairs a[t + tau] with b[t]; tau < 0 pairs a[t - |tau|] with b[t];
     both outputs have length T - |tau|.  tau = 0 returns the inputs.
     """
-    if len(a) != len(b):
-        raise LengthMismatch(
-            f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
-        )
+    check_lengths(a, b)
     t_len = len(a)
     if abs(tau) >= t_len:
         raise ShiftTooLarge(f"|tau| = {abs(tau)} leaves no overlap at length {t_len}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePath, LengthMismatch, WindowTooLong
-from .series import Series
+from .series import Series, _freeze, check_lengths
 
 # Above this many samples, plain left-to-right accumulation of the level-2
 # products can lose digits; math.fsum keeps the whole-interval areas used by
@@ -129,10 +129,7 @@ def pair_path(a: Series, b: Series) -> np.ndarray:
     Single source of the pair orientation convention described in the module
     docstring; every pairwise area in the package goes through this layout.
     """
-    if len(a) != len(b):
-        raise LengthMismatch(
-            f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
-        )
+    check_lengths(a, b)
     return np.column_stack([b.values, a.values])
 
 
@@ -151,9 +148,7 @@ class AreaSequence:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(self.values))
         object.__setattr__(self, "pair", tuple(self.pair))
 
     @property
@@ -201,10 +196,7 @@ def _window_areas(
 
 def check_windows(a: Series, b: Series, window_length: int, stride: int) -> None:
     """Raise unless the pair (a, b) can be cut into the requested windows."""
-    if len(a) != len(b):
-        raise LengthMismatch(
-            f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
-        )
+    check_lengths(a, b)
     if window_length < 2:
         raise ValueError("window_length must be >= 2")
     if stride < 1:

@@ -21,8 +21,7 @@ from .errors import Divergence
 from .rng import standard_normal
 from .series import Panel, Series
 
-_BIDIR_TAUS = (0, 2, 4)
-_SYSTEMS = ("two_species_sync", "two_species_bidir", "four_species")
+BIDIR_TAUS = (0, 2, 4)
 
 
 def _check_bounds(states: dict[str, np.ndarray]) -> None:
@@ -64,8 +63,8 @@ def gen_two_species_bidir(n: int, tau_d: int = 0) -> Panel:
     the initial condition X_0 (constant-history warm-up), so the first
     tau_d steps of Y evolve against a flat X history.
     """
-    if tau_d not in _BIDIR_TAUS:
-        raise ValueError(f"tau_d must be one of {_BIDIR_TAUS}")
+    if tau_d not in BIDIR_TAUS:
+        raise ValueError(f"tau_d must be one of {BIDIR_TAUS}")
     if n < tau_d + 2:
         raise ValueError("need at least tau_d + 2 samples")
     x = np.empty(n)
@@ -112,6 +111,15 @@ def gen_white_noise(n: int, seed: int, name: str = "W") -> Series:
     return Series(name, standard_normal(n, seed))
 
 
+# System name -> generator of the panel a SystemSpec describes.
+_GENERATORS = {
+    "two_species_sync": lambda spec: gen_two_species_sync(spec.n_steps),
+    "two_species_bidir": lambda spec: gen_two_species_bidir(spec.n_steps, spec.tau_d),
+    "four_species": lambda spec: gen_four_species(spec.n_steps),
+}
+SYSTEMS = tuple(_GENERATORS)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Named benchmark system with its generation parameters."""
@@ -121,16 +129,12 @@ class SystemSpec:
     tau_d: int = 0
 
     def __post_init__(self) -> None:
-        if self.name not in _SYSTEMS:
-            raise ValueError(f"unknown system {self.name!r}; choose from {_SYSTEMS}")
+        if self.name not in SYSTEMS:
+            raise ValueError(f"unknown system {self.name!r}; choose from {SYSTEMS}")
         if self.name != "two_species_bidir" and self.tau_d != 0:
             raise ValueError("tau_d applies only to two_species_bidir")
 
 
 def generate(spec: SystemSpec) -> Panel:
     """Generate the panel described by ``spec``."""
-    if spec.name == "two_species_sync":
-        return gen_two_species_sync(spec.n_steps)
-    if spec.name == "two_species_bidir":
-        return gen_two_species_bidir(spec.n_steps, spec.tau_d)
-    return gen_four_species(spec.n_steps)
+    return _GENERATORS[spec.name](spec)

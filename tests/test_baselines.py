@@ -263,6 +263,13 @@ def test_ccm_stays_low_on_independent_noise():
     assert ccm(a, b).max_r2 <= 0.3
 
 
+def test_ccm_gives_a_constant_target_no_skill():
+    # Centring a constant leaves rounding noise, not zeros, to correlate with.
+    noise = gen_white_noise(100, derive_seed(9, "val"))
+    got = ccm(Series("flat", np.full(100, 0.3)), noise)
+    assert set(got.skill.values()) == {0.0} and got.max_r2 == 0.0
+
+
 def test_ccm_is_affine_invariant():
     x = standard_normal(400, derive_seed(9, "ccm"))
     y = np.tanh(x) * 2.0 + 0.5

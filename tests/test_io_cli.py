@@ -483,6 +483,14 @@ def test_cli_baseline_output_format(tmp_path, capsys):
     assert float(lines[-1].split()[-1]) >= 0.9
 
 
+def test_cli_ccm_on_a_constant_target_prints_no_skill(tmp_path, capsys):
+    noise = gen_white_noise(100, derive_seed(9, "flat"), "N")
+    path = str(tmp_path / "flat.csv")
+    write_csv(Panel((Series("F", np.full(100, 0.3)), noise)), path)
+    assert cli.main(["baseline", "ccm", path, "--x", "F", "--y", "N"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "max_r2 0"
+
+
 def test_cli_seed_env_and_flag_precedence(tmp_path, monkeypatch):
     csv_path = _sync_csv(tmp_path, steps=120)
     monkeypatch.setenv("SIGAREA_SEED", "777")
@@ -536,6 +544,28 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     four = str(tmp_path / "four.csv")
     assert cli.main(["generate", "four_species", "--tau-d", "2", "--out", four]) == 1
     assert "two_species_bidir" in capsys.readouterr().err
+
+    # Every parameter error exits 1 with an error line, whatever the subcommand.
+    pair = [csv_path, "--x", "X", "--y", "Y"]
+    out = ["--out", str(tmp_path / "o")]
+    timed = tmp_path / "timed.csv"
+    timed.write_text("time,X,Y\n0,1,2\n1,3,1\n2,2,4\n3,5,3\n")
+    for argv in (
+        ["tssavr", *pair, "--tau-min", "5", "--tau-max", "-5"],
+        ["tssavr", *pair, "--tau-min", "0", "--tau-max", "0"],
+        ["tssavr", *pair, "--difference-order", "-1"],
+        ["baseline", "granger", *pair, "--maxlag", "0"],
+        ["baseline", "ccm", *pair, "--embed-dim", "0"],
+        ["analyze", csv_path, *out, "--tau-min", "0", "--tau-max", "0"],
+        ["tssavr", str(timed), "--x", "X", "--y", "Y", "--interp-step", "0"],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+    single = tmp_path / "single.csv"
+    single.write_text("A\n1\n2\n3\n")
+    assert cli.main(["analyze", str(single), *out]) == 2
+    assert capsys.readouterr().err == "error: need at least 2 channels to form pairs\n"
 
 
 def test_cli_module_entry_point_smoke():

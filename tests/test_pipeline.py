@@ -54,6 +54,7 @@ def test_run_config_stride_defaulting():
         {"rho": 0.0},
         {"alpha": 1.0},
         {"tau_min": 4, "tau_max": 2},
+        {"tau_min": 0, "tau_max": 0},
         {"theta": 1.5},
         {"difference_order": -1},
         {"granger_tau_max": 0},
@@ -66,7 +67,7 @@ def test_run_config_validation(kwargs):
 
 def test_discover_needs_two_channels():
     single = Panel((gen_white_noise(50, derive_seed(14, 0), name="A"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientData):
         discover(single, RunConfig(n_shuffles=10))
 
 
@@ -205,6 +206,13 @@ def test_score_pair_ignores_argument_order(sync_scaled):
     assert trace.actual.pair == ("X", "Y")
 
 
+def test_score_pair_rejects_two_channels_of_one_name(sync_scaled):
+    # Stage 2 looks channels up by name, so it could not tell them apart.
+    xs, ys = sync_scaled
+    with pytest.raises(ValueError, match="both channels are named 'X'"):
+        score_pair(xs, Series("X", ys.values), RunConfig(n_shuffles=10))
+
+
 def test_discover_runs_band_tests_then_each_baseline_in_one_burst(monkeypatch):
     # Every band test comes before the first lagged regression, the
     # regressions run back to back, and every cross mapping follows them.
@@ -281,13 +289,14 @@ def test_grouped_baselines_give_each_ordering_its_own_result():
     b = gen_white_noise(t_len, derive_seed(21, "grp", 1), "B")
     p = Series("P", np.tile([0.0, 1.0], t_len // 2))
     c = Series("C", np.full(t_len, 0.5))
-    chans = (a, b, p, c)
-    scored = [(PairReport((x.name, y.name)), x, y) for x in chans for y in chans if x is not y]
+    chans = {s.name: s for s in (a, b, p, c)}
+    scored = [PairReport((x, y)) for x in chans for y in chans if x != y]
     config = RunConfig(run_granger=True, run_ccm=True, granger_tau_max=3)
-    reports = pipeline._with_baselines(scored, config)
-    assert [r.pair for r in reports] == [r.pair for r, _, _ in scored]
+    reports = pipeline._with_baselines(scored, chans, config)
+    assert [r.pair for r in reports] == [r.pair for r in scored]
     errors = set()
-    for report, (_, x, y) in zip(reports, scored):
+    for report in reports:
+        x, y = (chans[name] for name in report.pair)
         gr, gr_error = _single(granger, y, x, 3)
         cm, cm_error = _single(ccm, x, y)
         assert report.granger_min_p == (gr and gr.min_p)
