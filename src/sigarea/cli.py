@@ -14,10 +14,10 @@ negation; it takes no shift flags and runs no TS-SAVR.
 generate takes --tau-d only for two_species_bidir.
 
 Exit codes: 0 success, 1 usage or parameter error (a bad flag value, a
-generator parameter the system does not take), 2 data error (unreadable
-or malformed input, under two channels, analysis failure).  The default
-seed is 0, or the value of the SIGAREA_SEED environment variable when set;
-an explicit --seed always wins.
+generator parameter the system does not take, one channel as both --x and
+--y), 2 data error (unreadable or malformed input, under two channels,
+analysis failure).  The default seed is 0, or the value of the SIGAREA_SEED
+environment variable when set; an explicit --seed always wins.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import io as sio
 from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
-from .pipeline import RunConfig, discover, pair_band_test, prepare_channel
+from .pipeline import RunConfig, _name_ordered, discover, pair_band_test, prepare_channel
 from .synth import BIDIR_TAUS, SYSTEMS, SystemSpec, generate
 
 
@@ -155,30 +155,34 @@ def _analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepared_pair(args: argparse.Namespace):
-    panel, _ = sio.read_csv(args.csv, args.interp_step)
-    order = args.difference_order
-    return [prepare_channel(panel.get(name), order) for name in (args.x, args.y)]
+def _channel_pair(args: argparse.Namespace, prepared: bool = True):
+    """The --x and --y channels, prepared as analyze prepares them unless
+    prepared=False; one channel as both raises ValueError."""
+    panel, _ = sio.read_csv(args.csv, args.interp_step if prepared else None)
+    pair = [panel.get(name) for name in (args.x, args.y)]
+    _name_ordered(*pair)
+    if prepared:
+        pair = [prepare_channel(s, args.difference_order) for s in pair]
+    return pair
 
 
 def _ssad(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    x, y = _prepared_pair(args)
+    x, y = _channel_pair(args)
     forward, reverse, _, _ = pair_band_test(x, y, config)
     print(sio.format_float((reverse if y.name < x.name else forward).score))
     return 0
 
 
 def _tssavr(args: argparse.Namespace) -> int:
-    a, b = _prepared_pair(args)
+    a, b = _channel_pair(args)
     verdict = ts_savr(shift_profile(a, b, args.tau_min, args.tau_max))
     print(f"{sio.format_float(verdict.ratio)} {verdict.label}")
     return 0
 
 
 def _baseline(args: argparse.Namespace) -> int:
-    panel, _ = sio.read_csv(args.csv)
-    x, y = panel.get(args.x), panel.get(args.y)
+    x, y = _channel_pair(args, prepared=False)
     if args.method == "granger":
         result = granger(x, y, args.maxlag)
         for lag in sorted(result.per_lag_p):

@@ -8,12 +8,12 @@ swing hard, while shifting forwards decorrelates them; the sample-variance
 ratio Var(tau < 0) / Var(tau > 0) therefore points from cause to effect.
 
 The (j, i) area at tau is the exact negation of the (i, j) area at -tau
-(the same samples with the path coordinates swapped), so one profile of
-(i, j) over a range and its mirror image serves both orderings: the
-pipeline profiles each pair once and reads the reverse profile off it
-(ShiftProfile.within).  For a range symmetric about zero the two ratios
-are reciprocals up to the rounding of the final division; they differ only
-for asymmetric ranges.
+(the same samples with the path coordinates swapped), so shift_profile
+also computes the mirror image of its range and one profile of (i, j)
+serves both orderings: the pipeline profiles each pair once and reads the
+reverse profile off it (ShiftProfile.reversed).  For a range symmetric
+about zero the two ratios are reciprocals up to the rounding of the final
+division; they differ only for asymmetric ranges.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InsufficientData, ShiftTooLarge, ZeroVariance
-from .series import Series, time_shift_pair
-from .signature import pair_area
+from .series import Series, check_lengths, shift_slices
+from .signature import _whole_area
 
 
 @dataclass(frozen=True)
 class ShiftProfile:
-    """Whole-interval signed areas of (a shifted by tau, b), tau != 0."""
+    """Whole-interval signed areas of (a shifted by tau, b) over the range
+    ``taus`` (tau != 0); ``areas`` may also hold the mirror shifts -tau."""
 
     pair: tuple[str, str]
     taus: tuple[int, ...]
@@ -42,8 +43,9 @@ class ShiftProfile:
         if 0 in taus:
             raise ValueError("shift profile must exclude tau = 0")
         areas = MappingProxyType({int(t): float(v) for t, v in self.areas.items()})
-        if set(areas) != set(taus):
-            raise ValueError("areas must cover exactly the profiled shifts")
+        shifts = set(taus)
+        if not shifts <= set(areas) <= shifts | {-t for t in shifts}:
+            raise ValueError("areas must hold the profiled shifts and only their mirrors")
         object.__setattr__(self, "pair", tuple(self.pair))
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "areas", areas)
@@ -52,15 +54,12 @@ class ShiftProfile:
         picked = [self.areas[t] for t in self.taus if (t > 0) == positive]
         return np.asarray(picked, dtype=np.float64)
 
-    def within(self, tau_min: int, tau_max: int, reverse: bool = False) -> ShiftProfile:
-        """This pair's profile over [tau_min, tau_max], or with reverse=True
-        the swapped pair's, whose area at tau is the exact negation of this
-        one's at -tau.  Either way the areas are the bits shift_profile
-        computes for that pair and range."""
-        taus = _nonzero_taus(tau_min, tau_max)
-        if reverse:
-            return ShiftProfile(self.pair[::-1], taus, {t: -self.areas[-t] for t in taus})
-        return ShiftProfile(self.pair, taus, {t: self.areas[t] for t in taus})
+    def reversed(self) -> ShiftProfile:
+        """The swapped pair's profile over the same range, its area at tau
+        minus this one's at -tau: shift_profile's bits for that pair.
+        ValueError unless ``areas`` holds every profiled shift's mirror."""
+        negated = {-t: -v for t, v in self.areas.items()}
+        return ShiftProfile(self.pair[::-1], self.taus, negated)
 
 
 @dataclass(frozen=True)
@@ -90,30 +89,28 @@ def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[int, ...]:
 
 
 def shift_profile(
-    a: Series, b: Series, tau_min: int = -10, tau_max: int = 10, mirrored: bool = False
+    a: Series, b: Series, tau_min: int = -10, tau_max: int = 10
 ) -> ShiftProfile:
     """Signed areas of the pair across integer shifts of ``a``.
 
-    For each tau in [tau_min, tau_max] except 0, the pair is aligned with
-    time_shift_pair and the whole overlap is treated as a single window.
+    For each tau in [tau_min, tau_max] except 0, the whole overlap that
+    time_shift_pair aligns is one window, with the bits of pair_area on it.
     The truncated series are not re-scaled, so areas stay comparable
     across shifts.  A shift with |tau| >= T - 1 leaves under two samples
-    to trace a path through and raises ShiftTooLarge.  mirrored=True also
-    profiles [-tau_max, -tau_min], so that ``within`` can give the (b, a)
-    profile; those shifts come after the requested ones, so a shift that
-    fails fails with the same error.
+    to trace a path through and raises ShiftTooLarge.  The mirror shifts
+    the range lacks come after it, for reversed(); each has the overlap of
+    a requested shift, so it cannot fail.
     """
     taus = _nonzero_taus(tau_min, tau_max)
-    if mirrored:
-        taus += tuple(-t for t in reversed(taus) if -t not in taus)
+    check_lengths(a, b)
     areas: dict[int, float] = {}
-    for tau in taus:
-        shifted_a, shifted_b = time_shift_pair(a, b, tau)
-        if len(shifted_a) < 2:
+    for tau in taus + tuple(-t for t in taus if -t not in taus):
+        head, tail = shift_slices(len(a), tau)
+        if len(a) - abs(tau) < 2:
             raise ShiftTooLarge(
                 f"|tau| = {abs(tau)} leaves a one-sample overlap at length {len(a)}"
             )
-        areas[tau] = pair_area(shifted_a, shifted_b)
+        areas[tau] = _whole_area(a.values[head], b.values[tail])
     return ShiftProfile((a.name, b.name), taus, areas)
 
 

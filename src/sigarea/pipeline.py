@@ -32,11 +32,11 @@ class RunConfig:
     """Knobs for one discovery run.
 
     stride=None tiles the series with non-overlapping windows (stride =
-    window_length), the default everywhere in this package; set stride=1
-    for maximally overlapping windows.  theta=None means rank mode: no
-    hard edge threshold, every pair lands in the graph with its
-    confidence.  difference_order is applied before scaling; interpolation
-    onto a uniform grid happens at CSV load time, not here.
+    window_length); signed_area_sequence, null_ensemble and ssad_pair_detail
+    default to stride=1, maximally overlapping windows.  theta=None means
+    rank mode: no hard edge threshold, every pair lands in the graph with
+    its confidence.  difference_order is applied before scaling;
+    interpolation onto a uniform grid happens at CSV load time, not here.
     """
 
     window_length: int = 10
@@ -182,6 +182,13 @@ def _supports(label: str, source: str, target: str) -> bool:
     return label in (f"{source}->{target}", f"{source}<->{target}", f"{target}<->{source}")
 
 
+def _name_ordered(a: Series, b: Series) -> tuple[Series, Series]:
+    """The pair in name order; ValueError for two channels of one name."""
+    if a.name == b.name:
+        raise ValueError(f"both channels are named {a.name!r}")
+    return (a, b) if a.name < b.name else (b, a)
+
+
 def pair_band_test(
     a: Series, b: Series, config: RunConfig
 ) -> tuple[SsadResult, SsadResult, AreaSequence, NullBand]:
@@ -189,10 +196,10 @@ def pair_band_test(
     "pair", sorted names), so it does not depend on argument order.
 
     Returns ssad_pair_detail's results for the name-ordered pair: both
-    ordered SSAD results, then its windowed areas and null band.
+    ordered SSAD results, then its windowed areas and null band.  Two
+    channels of one name raise ValueError.
     """
-    if b.name < a.name:
-        a, b = b, a
+    a, b = _name_ordered(a, b)
     return ssad_pair_detail(
         a,
         b,
@@ -216,12 +223,8 @@ def _pair_statistics(
     its SigAreaError.
     """
     fwd, rev, actual, band = pair_band_test(a, b, config)
-    # One profile over the range and its mirror image serves both orders.
-    profile = shift_profile(a, b, config.tau_min, config.tau_max, mirrored=True)
-    verdicts = [
-        ts_savr(profile.within(config.tau_min, config.tau_max, reverse))
-        for reverse in (False, True)
-    ]
+    profile = shift_profile(a, b, config.tau_min, config.tau_max)
+    verdicts = [ts_savr(profile), ts_savr(profile.reversed())]
     abs_ssad = abs(fwd.score)
     passes = config.theta is not None and abs_ssad >= config.theta
     forward, reverse = [
@@ -251,11 +254,11 @@ def _with_baselines(
     the target of the lagged regressions granger(y, x), whose restricted
     fits granger_many makes once per lag, and the shadow manifold of the
     cross mapping ccm(x, y), whose neighbour search ccm_many makes once.
-    Every Granger group runs back to back, then every CCM group, so the
-    BLAS worker threads spin once after the burst rather than once per pair.  A failing group leaves only its own column
-    None and puts its error text on each of its orderings' reports
-    (Granger's, when both fail); the error depends only on y and the length,
-    so it is the text each ordering would get on its own.
+    Every Granger group runs back to back, then every CCM group, so the BLAS
+    worker threads spin once after the burst rather than once per pair.  A
+    failing group leaves only its own column None and puts its error text on
+    each of its orderings' reports (Granger's, when both fail); the error
+    depends only on y and the length, so it is the text each would get alone.
     """
     groups: dict[str, list[int]] = {}
     for k, report in enumerate(reports):
@@ -294,17 +297,12 @@ def score_pair(
     the name-ordered pair's trace, none of which depends on argument order.
     A failing band test or TS-SAVR raises its SigAreaError; a failing
     baseline only empties its own column and sets that report's error.
-    Two channels with the same name raise ValueError: stage 2 looks the
-    channels up by name.
+    Two channels with the same name raise ValueError.
     """
-    if a.name == b.name:
-        raise ValueError(f"both channels are named {a.name!r}")
-    swapped = b.name < a.name
-    if swapped:
-        a, b = b, a
-    fwd, rev, trace = _pair_statistics(a, b, config)
+    first, second = _name_ordered(a, b)
+    fwd, rev, trace = _pair_statistics(first, second, config)
     fwd, rev = _with_baselines([fwd, rev], {a.name: a, b.name: b}, config)
-    return (rev, fwd, trace) if swapped else (fwd, rev, trace)
+    return (fwd, rev, trace) if first is a else (rev, fwd, trace)
 
 
 def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:

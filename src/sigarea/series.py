@@ -147,6 +147,16 @@ def check_lengths(a: Series, b: Series) -> None:
         )
 
 
+def shift_slices(t_len: int, tau: int) -> tuple[slice, slice]:
+    """The slices of a and of b, each of length t_len, that time_shift_pair
+    aligns at shift ``tau``; ShiftTooLarge when no sample overlaps."""
+    if abs(tau) >= t_len:
+        raise ShiftTooLarge(f"|tau| = {abs(tau)} leaves no overlap at length {t_len}")
+    if tau >= 0:
+        return slice(tau, None), slice(0, t_len - tau)
+    return slice(0, t_len + tau), slice(-tau, None)
+
+
 def time_shift_pair(a: Series, b: Series, tau: int) -> tuple[Series, Series]:
     """Align a shifted by ``tau`` against b on their common overlap.
 
@@ -154,21 +164,10 @@ def time_shift_pair(a: Series, b: Series, tau: int) -> tuple[Series, Series]:
     both outputs have length T - |tau|.  tau = 0 returns the inputs.
     """
     check_lengths(a, b)
-    t_len = len(a)
-    if abs(tau) >= t_len:
-        raise ShiftTooLarge(f"|tau| = {abs(tau)} leaves no overlap at length {t_len}")
+    head, tail = shift_slices(len(a), tau)
     if tau == 0:
         return a, b
-    if tau > 0:
-        return (
-            Series(a.name, a.values[tau:]),
-            Series(b.name, b.values[: t_len - tau]),
-        )
-    k = -tau
-    return (
-        Series(a.name, a.values[: t_len - k]),
-        Series(b.name, b.values[k:]),
-    )
+    return Series(a.name, a.values[head]), Series(b.name, b.values[tail])
 
 
 def shuffle(s: Series, seed: int) -> Series:

@@ -117,18 +117,19 @@ def signed_area(path: np.ndarray) -> float:
         raise DegeneratePath("path needs at least 2 points")
     if not np.all(np.isfinite(p)):
         raise ValueError("path contains non-finite coordinates")
-    x, y = p[:, 0], p[:, 1]
+    return _whole_area(p[:, 1], p[:, 0])
+
+
+def _whole_area(a: np.ndarray, b: np.ndarray) -> float:
+    """signed_area of the pair path (b_t, a_t) of equal-length sample vectors."""
+    x, y = b, a
     cross = x[:-1] * y[1:] - x[1:] * y[:-1]
     corr = y[0] * (x[-1] - x[0]) - x[0] * (y[-1] - y[0])
     return 0.5 * (_sum(cross) + corr)
 
 
 def pair_path(a: Series, b: Series) -> np.ndarray:
-    """Planar path for the ordered pair (a, b): points (b_t, a_t).
-
-    Single source of the pair orientation convention described in the module
-    docstring; every pairwise area in the package goes through this layout.
-    """
+    """Planar path for the ordered pair (a, b): points (b_t, a_t)."""
     check_lengths(a, b)
     return np.column_stack([b.values, a.values])
 

@@ -8,13 +8,13 @@ from sigarea import (
     InsufficientData,
     ShiftProfile,
     ShiftTooLarge,
-    SigAreaError,
     ZeroVariance,
     gen_four_species,
     gen_white_noise,
     scale_unit_range,
     shift_profile,
     shuffle,
+    time_shift_pair,
     ts_savr,
 )
 from sigarea.rng import derive_seed
@@ -49,6 +49,11 @@ def test_profile_dataclass_rejects_bad_shapes():
         ShiftProfile(("a", "b"), (0, 1), {0: 0.0, 1: 1.0})
     with pytest.raises(ValueError):
         ShiftProfile(("a", "b"), (-1, 1), {1: 1.0})
+    # Beyond the profiled shifts, areas may hold only their mirrors.
+    mirrored = ShiftProfile(("a", "b"), (1, 2), {1: 1.0, 2: 2.0, -2: 3.0})
+    assert set(mirrored.areas) == {1, 2, -2}
+    with pytest.raises(ValueError):
+        ShiftProfile(("a", "b"), (1, 2), {1: 1.0, 2: 2.0, 3: 3.0})
 
 
 def test_swapping_the_pair_mirrors_and_negates_the_profile(sync_scaled):
@@ -62,48 +67,94 @@ def test_swapping_the_pair_mirrors_and_negates_the_profile(sync_scaled):
         assert rev.areas[-tau] == -fwd.areas[tau]
 
 
+def _bits(profile):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return {t: float.hex(v) for t, v in profile.areas.items()}
+
+
+def _chans(t_len):
+    four = gen_four_species(t_len)
+    noise = gen_white_noise(t_len, derive_seed(11, "mirror", t_len), "W")
+    return [scale_unit_range(s) for s in (*four.series, noise)]
+
+
+@pytest.mark.parametrize("t_len", [200, 1000, 1001, 1003, 3000])
+@pytest.mark.parametrize("tau_min, tau_max", [(-10, 10), (-3, 7), (2, 9)])
+def test_profile_areas_have_the_bits_of_the_shifted_series_path(t_len, tau_min, tau_max):
+    # The public Series path is the oracle for every area, mirror shifts
+    # included.  At T=1003 a one-shift overlap sums its 1001 products with
+    # math.fsum and a two-shift overlap with np.sum; T=3000 is all fsum.
+    chans = _chans(t_len)
+    for a, b in ((chans[0], chans[1]), (chans[1], chans[3]), (chans[2], chans[4])):
+        profile = shift_profile(a, b, tau_min, tau_max)
+        assert profile.taus == tuple(t for t in range(tau_min, tau_max + 1) if t != 0)
+        assert set(profile.areas) == set(profile.taus) | {-t for t in profile.taus}
+        oracle = {
+            t: float.hex(pair_area(*time_shift_pair(a, b, t))) for t in profile.areas
+        }
+        assert _bits(profile) == oracle
+
+
 @pytest.mark.parametrize("t_len", [200, 1000, 3000])
 @pytest.mark.parametrize("tau_min, tau_max", [(-10, 10), (-3, 7)])
 def test_one_mirrored_profile_gives_both_orders_bit_for_bit(t_len, tau_min, tau_max):
     # T=3000 takes the math.fsum path of the whole-overlap areas.
-    four = gen_four_species(t_len)
-    noise = gen_white_noise(t_len, derive_seed(11, "mirror", t_len), "W")
-    chans = [scale_unit_range(s) for s in (*four.series, noise)]
+    chans = _chans(t_len)
     for a, b in ((chans[0], chans[1]), (chans[1], chans[3]), (chans[2], chans[4])):
-        full = shift_profile(a, b, tau_min, tau_max, mirrored=True)
-        for x, y, reverse in ((a, b, False), (b, a, True)):
+        full = shift_profile(a, b, tau_min, tau_max)
+        assert full.reversed().reversed() == full
+        for x, y, derived in ((a, b, full), (b, a, full.reversed())):
             direct = shift_profile(x, y, tau_min, tau_max)
-            derived = full.within(tau_min, tau_max, reverse)
             assert derived.pair == direct.pair and derived.taus == direct.taus
-            assert dict(derived.areas) == dict(direct.areas)
+            assert _bits(derived) == _bits(direct)
             assert ts_savr(derived) == ts_savr(direct)
 
 
-@pytest.mark.parametrize(
-    "tau_min, tau_max", [(-10, 10), (-3, 20), (-20, 3), (-3, 7), (-8, -2), (2, 9)]
-)
+def test_reversing_needs_every_mirror_shift():
+    lacking = ShiftProfile(("a", "b"), (-1, 1, 2), {-1: 0.5, 1: 1.0, 2: 2.0})
+    with pytest.raises(ValueError):
+        lacking.reversed()
+    mirrored = ShiftProfile(("a", "b"), (1, 2), {1: 1.0, 2: 2.0, -1: 3.0, -2: 4.0})
+    assert mirrored.reversed() == ShiftProfile(
+        ("b", "a"), (1, 2), {1: -3.0, 2: -4.0, -1: -1.0, -2: -2.0}
+    )
+
+
+_RANGE_ERRORS = {
+    (-10, 10): "|tau| = 10 leaves no overlap at length 8",
+    (-3, 20): "|tau| = 7 leaves a one-sample overlap at length 8",
+    (-20, 3): "|tau| = 20 leaves no overlap at length 8",
+    (-3, 7): "|tau| = 7 leaves a one-sample overlap at length 8",
+    (-8, -2): "|tau| = 8 leaves no overlap at length 8",
+    (2, 9): "|tau| = 7 leaves a one-sample overlap at length 8",
+}
+
+
+@pytest.mark.parametrize("tau_min, tau_max", list(_RANGE_ERRORS))
 def test_mirrored_profile_fails_with_the_requested_range_error(tau_min, tau_max):
     # Eight samples: |tau| >= 8 leaves no overlap and |tau| = 7 one point.
+    # The mirror shifts come after the requested range, so the first shift
+    # of the range that fails names the error, in either order of the pair.
     a = scale_unit_range(gen_white_noise(8, derive_seed(0, 0), "a"))
     b = scale_unit_range(gen_white_noise(8, derive_seed(0, 1), "b"))
-    with pytest.raises(SigAreaError) as plain:
-        shift_profile(a, b, tau_min, tau_max)
-    with pytest.raises(SigAreaError) as mirrored:
-        shift_profile(a, b, tau_min, tau_max, mirrored=True)
-    assert type(mirrored.value) is type(plain.value)
-    assert str(mirrored.value) == str(plain.value)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ShiftTooLarge) as caught:
+            shift_profile(x, y, tau_min, tau_max)
+        assert str(caught.value) == _RANGE_ERRORS[(tau_min, tau_max)]
 
 
-@pytest.mark.parametrize("mirrored", [False, True])
-def test_a_one_sample_overlap_is_a_shift_error(mirrored):
+@pytest.mark.parametrize("swapped", [False, True])
+def test_a_one_sample_overlap_is_a_shift_error(swapped):
     # Eight samples: tau = +-7 leaves one aligned point, which traces no
     # path; the error names the shift and the length.
     a = scale_unit_range(gen_white_noise(8, derive_seed(0, 0), "a"))
     b = scale_unit_range(gen_white_noise(8, derive_seed(0, 1), "b"))
-    assert len(shift_profile(a, b, -6, 6, mirrored).taus) == 12
+    if swapped:
+        a, b = b, a
+    assert len(shift_profile(a, b, -6, 6).taus) == 12
     for tau_min, tau_max in ((-3, 7), (-7, 3), (1, 7)):
         with pytest.raises(ShiftTooLarge) as caught:
-            shift_profile(a, b, tau_min, tau_max, mirrored)
+            shift_profile(a, b, tau_min, tau_max)
         assert str(caught.value) == "|tau| = 7 leaves a one-sample overlap at length 8"
 
 

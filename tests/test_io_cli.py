@@ -558,6 +558,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["baseline", "ccm", *pair, "--embed-dim", "0"],
         ["analyze", csv_path, *out, "--tau-min", "0", "--tau-max", "0"],
         ["tssavr", str(timed), "--x", "X", "--y", "Y", "--interp-step", "0"],
+        # A channel against itself.
+        ["ssad", csv_path, "--x", "X", "--y", "X"],
+        ["tssavr", csv_path, "--x", "Y", "--y", "Y"],
+        ["baseline", "granger", csv_path, "--x", "X", "--y", "X"],
+        ["baseline", "ccm", csv_path, "--x", "X", "--y", "X"],
     ):
         assert cli.main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv

@@ -207,10 +207,12 @@ def test_score_pair_ignores_argument_order(sync_scaled):
 
 
 def test_score_pair_rejects_two_channels_of_one_name(sync_scaled):
-    # Stage 2 looks channels up by name, so it could not tell them apart.
+    # Stage 2 looks channels up by name, so it could not tell them apart;
+    # the band test alone, seeded by name, rejects them the same way.
     xs, ys = sync_scaled
-    with pytest.raises(ValueError, match="both channels are named 'X'"):
-        score_pair(xs, Series("X", ys.values), RunConfig(n_shuffles=10))
+    for run in (score_pair, pipeline.pair_band_test):
+        with pytest.raises(ValueError, match="both channels are named 'X'"):
+            run(xs, Series("X", ys.values), RunConfig(n_shuffles=10))
 
 
 def test_discover_runs_band_tests_then_each_baseline_in_one_burst(monkeypatch):
