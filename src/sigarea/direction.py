@@ -88,6 +88,13 @@ def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[int, ...]:
     return taus
 
 
+def _check_sides(taus: tuple[int, ...], error: type[Exception]) -> None:
+    """Raise ``error`` unless at least 2 of the shifts lie on each side of
+    zero, as the sample variances of ts_savr's ratio need."""
+    if min(sum(t < 0 for t in taus), sum(t > 0 for t in taus)) < 2:
+        raise error("variance ratio needs at least 2 shifts on each side of zero")
+
+
 def shift_profile(
     a: Series, b: Series, tau_min: int = -10, tau_max: int = 10
 ) -> ShiftProfile:
@@ -125,12 +132,9 @@ def ts_savr(
     """
     if not 0 < low <= high:
         raise ValueError("thresholds must satisfy 0 < low <= high")
+    _check_sides(profile.taus, InsufficientData)
     neg = profile.side(positive=False)
     pos = profile.side(positive=True)
-    if neg.size < 2 or pos.size < 2:
-        raise InsufficientData(
-            "variance ratio needs at least 2 shifts on each side of zero"
-        )
     var_pos = float(np.var(pos, ddof=1))
     if var_pos == 0.0:
         raise ZeroVariance(

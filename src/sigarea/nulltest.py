@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientData, LengthMismatch
 from .rng import Shuffler, seed_family
-from .series import Series, _freeze
+from .series import Series, _freeze, _reduce_through_init
 from .signature import (
     AreaSequence,
     _window_areas,
@@ -67,6 +67,8 @@ class NullBand:
     alpha: float = 0.05
     n_shuffles: int = 1000
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self) -> None:
         for name in ("lower", "upper", "mu", "sigma"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
@@ -84,6 +86,8 @@ class SsadResult:
     pair: tuple[str, str]
     per_step: np.ndarray
     score: float
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_step", _freeze(self.per_step, np.int64))

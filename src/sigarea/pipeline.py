@@ -2,23 +2,27 @@
 
 For every unordered pair of channels the pipeline runs the shuffled-null
 band test once (the reverse order is its exact negation) and the shift
-variance-ratio test in both orders, then reports each ordered pair.  The
-optional baselines run afterwards, each over all pairs in one burst of one
-call per channel.  |SSAD| is the confidence of a lag/lead link; by default
-no threshold is applied and the output is read as a ranking.  Optional
-extras: a scaled white-noise control channel, and lagged-regression /
-cross-mapping baseline columns.
+variance-ratio test in both orders, then reports each ordered pair.  On a
+large enough input that first stage is split across spawned worker
+processes, one per usable CPU; every pair is seeded from its names alone,
+so the output bytes do not depend on how many processes ran it.  The
+optional baselines run afterwards in the calling process, each over all
+pairs in one burst of one call per channel.  |SSAD| is the confidence of a
+lag/lead link; by default no threshold is applied and the output is read
+as a ranking.  Optional extras: a scaled white-noise control channel, and
+lagged-regression / cross-mapping baseline columns.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
 from .baselines import ccm_many, granger_many
-from .direction import _nonzero_taus, shift_profile, ts_savr
+from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
 from .nulltest import NullBand, SsadResult, ssad_pair_detail
 from .rng import derive_seed
@@ -66,7 +70,7 @@ class RunConfig:
             raise ValueError("rho must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        _nonzero_taus(self.tau_min, self.tau_max)
+        _check_sides(_nonzero_taus(self.tau_min, self.tau_max), ValueError)
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1] when given")
         if self.difference_order < 0:
@@ -305,6 +309,113 @@ def score_pair(
     return (fwd, rev, trace) if first is a else (rev, fwd, trace)
 
 
+def _stage_one(
+    prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig
+) -> list[tuple[PairReport, PairReport, PairTrace | None]]:
+    """Stage 1 of each name-ordered pair (i, j), in the order given.
+
+    A pair gives its (i, j) and (j, i) reports and its trace; a pair with a
+    channel that could not be prepared, or whose stage 1 fails, gives its
+    two error reports and None.
+    """
+    outcomes: list[tuple[PairReport, PairReport, PairTrace | None]] = []
+    for i, j in pairs:
+        a, b = prepared[i], prepared[j]
+        error = a if isinstance(a, str) else b if isinstance(b, str) else None
+        if error is None:
+            try:
+                outcomes.append(_pair_statistics(a, b, config))
+                continue
+            except SigAreaError as exc:
+                error = _error_text(exc)
+        outcomes.append((PairReport((i, j), error=error), PairReport((j, i), error=error), None))
+    return outcomes
+
+
+# Stage 1 takes another process only while each process's share of the
+# run's shuffled samples (pairs x n_shuffles x T) is at least this many, so
+# that the share outlasts starting a spawned worker.  On a 2-vCPU Xeon VM a
+# worker took about 0.26 s to start (spawn, import numpy and sigarea) and
+# stage 1 about 70 ns per shuffled sample, so a share of 2e7 samples runs
+# about 1.4 s, some 5 start-ups.  Sized for the shuffle engine: a band
+# that needs no shuffles changes the cost per pair, and this with it.
+_SHARE_SAMPLES = 20_000_000
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _process_count(pairs: int, n_shuffles: int, length: int) -> int:
+    """How many processes stage 1 runs in: at most one per usable CPU and
+    per pair, each with a share of at least _SHARE_SAMPLES shuffled samples.
+    A daemonic process cannot start workers, so it gets 1."""
+    count = min(_usable_cpus(), pairs, max(1, pairs * n_shuffles * length // _SHARE_SAMPLES))
+    if count > 1:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return count
+
+
+def _send_stage_one(
+    connection, prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]],
+    config: RunConfig,
+) -> None:
+    """A worker process's share of stage 1, sent back over ``connection``."""
+    with connection:
+        connection.send(_stage_one(prepared, pairs, config))
+
+
+def _stage_one_in_processes(
+    prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig,
+    count: int,
+) -> list[tuple[PairReport, PairReport, PairTrace | None]]:
+    """_stage_one over pairs[r::count] in process r: this process for r = 0
+    and a spawned worker for each other r.  Every pair is seeded from its
+    names alone, so the outcomes, put back in pair order, are _stage_one's
+    over all pairs.  Workers are daemonic and joined before this returns."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("spawn")
+    workers = []
+    try:
+        for r in range(1, count):
+            receiver, sender = context.Pipe(duplex=False)
+            with sender:
+                worker = context.Process(
+                    target=_send_stage_one,
+                    args=(sender, prepared, pairs[r::count], config),
+                    daemon=True,
+                )
+                worker.start()
+            workers.append((worker, receiver))
+        outcomes: list = [None] * len(pairs)
+        outcomes[0::count] = _stage_one(prepared, pairs[0::count], config)
+        for r, (worker, receiver) in enumerate(workers, start=1):
+            try:
+                outcomes[r::count] = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"a stage-1 worker exited with code {worker.exitcode} before sending "
+                    "its pairs"
+                ) from None
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+    return outcomes
+
+
 def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     """Score every channel pair of the panel.
 
@@ -314,33 +425,41 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     do not depend on column order.  Stage 1 (band test and TS-SAVR) runs
     for every pair first; stage 2 then runs each enabled baseline over
     every ordering stage 1 scored, so the reports equal score_pair's pair by
-    pair.  A channel that cannot be prepared, or a pair that fails stage 1,
-    is reported with its error message and gets no baselines; other pairs
-    are unaffected.  A pair whose only failure is an optional baseline
-    keeps its scores, edge and trace, with that baseline's column empty and
-    its error message set.  Fewer than 2 channels raise InsufficientData.
+    pair.  Stage 1 runs in P processes, this one and P - 1 spawned workers
+    each taking every P-th pair, where P is the smallest of the usable CPUs,
+    the pairs to score, and pairs x n_shuffles x T over _SHARE_SAMPLES
+    (2e7) rounded down; P = 1 (one CPU, one pair, a smaller input, or a
+    daemonic caller) runs it inline.  Every result, trace arrays included,
+    is the same for any P.  With P > 1 a calling script must guard its
+    entry point with ``if __name__ == "__main__":``, as spawned processes
+    import the main module.  A channel that cannot be prepared, or a pair
+    that fails stage 1, is reported with its error message and gets no
+    baselines; other pairs are unaffected.  A pair whose only failure is an
+    optional baseline keeps its scores, edge and trace, with that baseline's
+    column empty and its error message set.  Fewer than 2 channels raise
+    InsufficientData.
     """
     config = config or RunConfig()
     if len(panel.series) < 2:
         raise InsufficientData("need at least 2 channels to form pairs")
     prepared = _prepare(panel, config)
+    pairs = list(combinations(sorted(prepared), 2))
+    ready = sum(not isinstance(s, str) for s in prepared.values())
+    count = _process_count(ready * (ready - 1) // 2, config.n_shuffles, panel.length)
+    if count == 1:
+        outcomes = _stage_one(prepared, pairs, config)
+    else:
+        outcomes = _stage_one_in_processes(prepared, pairs, config, count)
 
     reports: list[PairReport] = []
     edges: list[GraphEdge] = []
     traces: dict[tuple[str, str], PairTrace] = {}
-    for i, j in combinations(sorted(prepared), 2):
-        a, b = prepared[i], prepared[j]
-        error = a if isinstance(a, str) else b if isinstance(b, str) else None
-        if error is None:
-            try:
-                fwd, rev, traces[(i, j)] = _pair_statistics(a, b, config)
-            except SigAreaError as exc:
-                error = _error_text(exc)
-        if error is not None:
-            fwd, rev = PairReport((i, j), error=error), PairReport((j, i), error=error)
-        elif config.theta is None or fwd.abs_ssad >= config.theta:
-            source, target = (j, i) if fwd.direction == f"{j}->{i}" else (i, j)
-            edges.append(GraphEdge(source, target, fwd.direction, fwd.abs_ssad))
+    for (i, j), (fwd, rev, trace) in zip(pairs, outcomes):
+        if trace is not None:
+            traces[(i, j)] = trace
+            if config.theta is None or fwd.abs_ssad >= config.theta:
+                source, target = (j, i) if fwd.direction == f"{j}->{i}" else (i, j)
+                edges.append(GraphEdge(source, target, fwd.direction, fwd.abs_ssad))
         reports += (fwd, rev)
 
     reports = _with_baselines(reports, prepared, config)

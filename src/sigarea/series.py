@@ -7,7 +7,7 @@ names.  Every operation here is a pure function returning new objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,12 +29,21 @@ def _freeze(values: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     return out
 
 
+def _reduce_through_init(obj) -> tuple:
+    """``__reduce__`` of an immutable dataclass that freezes arrays: unpickling
+    calls the constructor, which freezes them again; plain unpickling would
+    give them back writeable."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
 @dataclass(frozen=True)
 class Series:
     """Named, immutable vector of finite samples."""
 
     name: str
     values: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         frozen = _freeze(self.values)

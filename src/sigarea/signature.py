@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePath, LengthMismatch, WindowTooLong
-from .series import Series, _freeze, check_lengths
+from .series import Series, _freeze, _reduce_through_init, check_lengths
 
 # Above this many samples, plain left-to-right accumulation of the level-2
 # products can lose digits; math.fsum keeps the whole-interval areas used by
@@ -45,6 +45,8 @@ class Sig2:
 
     level1: np.ndarray
     level2: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         l1 = np.array(self.level1, dtype=np.float64, copy=True)
@@ -147,6 +149,8 @@ class AreaSequence:
     window_length: int
     stride: int
     values: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))

@@ -557,6 +557,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["baseline", "granger", *pair, "--maxlag", "0"],
         ["baseline", "ccm", *pair, "--embed-dim", "0"],
         ["analyze", csv_path, *out, "--tau-min", "0", "--tau-max", "0"],
+        ["analyze", csv_path, *out, "--tau-min", "2", "--tau-max", "9"],
         ["tssavr", str(timed), "--x", "X", "--y", "Y", "--interp-step", "0"],
         # A channel against itself.
         ["ssad", csv_path, "--x", "X", "--y", "X"],
@@ -566,6 +567,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     ):
         assert cli.main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    assert not os.path.exists(out[1])  # no analyze got as far as its pairs
 
     single = tmp_path / "single.csv"
     single.write_text("A\n1\n2\n3\n")

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,10 @@ def test_run_config_stride_defaulting():
         {"alpha": 1.0},
         {"tau_min": 4, "tau_max": 2},
         {"tau_min": 0, "tau_max": 0},
+        # Fewer than 2 shifts on a side: TS-SAVR would fail every pair.
+        {"tau_min": 2, "tau_max": 9},
+        {"tau_min": -9, "tau_max": -2},
+        {"tau_min": -1, "tau_max": 5},
         {"theta": 1.5},
         {"difference_order": -1},
         {"granger_tau_max": 0},
@@ -391,3 +396,160 @@ def test_differencing_is_applied_before_scaling():
     )
     assert abs(diffed.ssad) <= 0.25
     assert raw.ssad != diffed.ssad
+
+
+# Stage 1 in worker processes.  The gate is lowered and the CPU count raised
+# by patching the private constant and helper, so these run on any machine.
+
+
+def _mixed_panel():
+    # C is constant: it fails preparation, so error rows cross the process
+    # boundary alongside scored pairs.
+    return Panel(gen_four_species(300).series + (Series("C", np.full(300, 0.5)),))
+
+
+_MIXED_CONFIG = RunConfig(n_shuffles=50, add_noise_channel=True, run_granger=True)
+
+
+def _trace_arrays(trace):
+    band = trace.band
+    return [trace.actual.values, band.lower, band.upper, band.mu, band.sigma]
+
+
+def _assert_same_result(result, inline):
+    assert result.nodes == inline.nodes
+    assert result.reports == inline.reports
+    assert result.graph == inline.graph
+    assert list(result.traces) == list(inline.traces)
+    for key, trace in inline.traces.items():
+        other = result.traces[key]
+        assert other.actual.pair == trace.actual.pair
+        assert other.band.n_shuffles == trace.band.n_shuffles
+        assert [a.tobytes() for a in _trace_arrays(other)] == [
+            a.tobytes() for a in _trace_arrays(trace)
+        ]
+
+
+def _force_processes(monkeypatch, count):
+    monkeypatch.setattr(pipeline, "_SHARE_SAMPLES", 1)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_stage_one_in_worker_processes_equals_the_inline_run(tmp_path, monkeypatch, count):
+    import multiprocessing
+
+    from sigarea import write_report
+
+    panel = _mixed_panel()
+    inline = discover(panel, _MIXED_CONFIG)
+    assert [r.pair for r in inline.reports if r.error][:2] == [("C", "V"), ("V", "C")]
+    _force_processes(monkeypatch, count)
+    counts = []
+
+    def record(prepared, pairs, config, processes):
+        counts.append(processes)
+        return spawned(prepared, pairs, config, processes)
+
+    spawned = pipeline._stage_one_in_processes
+    monkeypatch.setattr(pipeline, "_stage_one_in_processes", record)
+    result = discover(panel, _MIXED_CONFIG)
+    assert counts == [count]
+    assert multiprocessing.active_children() == []
+    _assert_same_result(result, inline)
+    written = [
+        [Path(path).read_bytes() for path in write_report(run, str(tmp_path / name))]
+        for run, name in ((inline, "inline"), (result, "workers"))
+    ]
+    assert written[0] == written[1] and len(written[0]) == 2 + len(inline.traces)
+
+
+def test_trace_arrays_from_worker_processes_are_read_only(monkeypatch):
+    _force_processes(monkeypatch, 3)
+    result = discover(_mixed_panel(), _MIXED_CONFIG)
+    arrays = [a for trace in result.traces.values() for a in _trace_arrays(trace)]
+    assert len(arrays) == 5 * 10
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_frozen_arrays_stay_read_only_through_pickle():
+    import pickle
+
+    from sigarea.nulltest import NullBand, SsadResult
+    from sigarea.signature import AreaSequence, Sig2
+
+    values = np.arange(4.0)
+    for frozen in (
+        Series("A", values),
+        AreaSequence(("A", "B"), 2, 1, values),
+        NullBand(values - 1, values + 1, values, values, rho=2.0, alpha=0.1, n_shuffles=7),
+        SsadResult(("A", "B"), np.array([0, 1, -1]), 0.0),
+        Sig2(values[:2], np.eye(2)),
+    ):
+        copy = pickle.loads(pickle.dumps(frozen))
+        assert type(copy) is type(frozen)
+        for name, value in vars(frozen).items():
+            kept = vars(copy)[name]
+            if isinstance(value, np.ndarray):
+                assert kept.dtype == value.dtype and kept.tobytes() == value.tobytes()
+                assert not kept.flags.writeable
+            else:
+                assert kept == value
+
+
+def _discover_in_a_daemonic_worker(_):
+    # Runs in a pool worker: this process's own copy of the module is patched.
+    pipeline._SHARE_SAMPLES = 1
+    pipeline._usable_cpus = lambda: 3
+    result = discover(_mixed_panel(), _MIXED_CONFIG)
+    return result.nodes, result.reports, result.graph, dict(result.traces)
+
+
+def test_discover_in_a_daemonic_process_runs_inline():
+    import multiprocessing
+
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        nodes, reports, graph, traces = pool.apply_async(
+            _discover_in_a_daemonic_worker, (None,)
+        ).get(timeout=120)
+    inline = discover(_mixed_panel(), _MIXED_CONFIG)
+    _assert_same_result(
+        pipeline.DiscoveryResult(nodes, reports, graph, traces, _MIXED_CONFIG), inline
+    )
+
+
+def test_process_count_follows_the_input(monkeypatch):
+    cpus = pipeline._usable_cpus()
+    assert cpus >= 1
+    # long_pair: one pair at T = 10^4 stays inline.
+    assert pipeline._process_count(1, 1000, 10_000) == 1
+    # cli_full: 10 pairs x 1000 shuffles x T = 1000, below the gate.
+    assert pipeline._process_count(10, 1000, 1000) == 1
+    # panel_wide: 66 pairs x 1000 shuffles x T = 1000.
+    assert pipeline._process_count(66, 1000, 1000) == min(cpus, 3)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    assert pipeline._process_count(66, 1000, 1000) == 1
+
+
+def test_an_inline_run_does_not_import_multiprocessing():
+    # Importing multiprocessing costs start-up time that the small runs,
+    # which never start a worker, should not pay.
+    import os
+    import subprocess
+    import sys
+
+    import sigarea
+
+    script = (
+        "import sys\n"
+        "from sigarea import RunConfig, discover, gen_four_species\n"
+        "discover(gen_four_species(1000), RunConfig(add_noise_channel=True))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(sigarea.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
