@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import io as sio
-from .direction import shift_profile, ts_savr
+from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
 from .pipeline import RunConfig, _name_ordered, discover, pair_band_test, prepare_channel
@@ -175,6 +175,7 @@ def _ssad(args: argparse.Namespace) -> int:
 
 
 def _tssavr(args: argparse.Namespace) -> int:
+    _check_sides(_nonzero_taus(args.tau_min, args.tau_max), ValueError)
     a, b = _channel_pair(args)
     verdict = ts_savr(shift_profile(a, b, args.tau_min, args.tau_max))
     print(f"{sio.format_float(verdict.ratio)} {verdict.label}")

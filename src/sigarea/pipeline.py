@@ -3,14 +3,14 @@
 For every unordered pair of channels the pipeline runs the shuffled-null
 band test once (the reverse order is its exact negation) and the shift
 variance-ratio test in both orders, then reports each ordered pair.  On a
-large enough input that first stage is split across spawned worker
-processes, one per usable CPU; every pair is seeded from its names alone,
-so the output bytes do not depend on how many processes ran it.  The
-optional baselines run afterwards in the calling process, each over all
-pairs in one burst of one call per channel.  |SSAD| is the confidence of a
-lag/lead link; by default no threshold is applied and the output is read
-as a ranking.  Optional extras: a scaled white-noise control channel, and
-lagged-regression / cross-mapping baseline columns.
+large enough input that first stage is shared with the workers of one
+spawn ProcessPoolExecutor, one process per usable CPU; every pair is
+seeded from its names alone, so the output bytes do not depend on how many
+processes ran it.  The optional baselines run afterwards in the calling
+process, each over all pairs in one burst of one call per channel.  |SSAD|
+is the confidence of a lag/lead link; by default no threshold is applied
+and the output is read as a ranking.  Optional extras: a scaled white-noise
+control channel, and lagged-regression / cross-mapping baseline columns.
 """
 
 from __future__ import annotations
@@ -362,57 +362,28 @@ def _process_count(pairs: int, n_shuffles: int, length: int) -> int:
     return count
 
 
-def _send_stage_one(
-    connection, prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]],
-    config: RunConfig,
-) -> None:
-    """A worker process's share of stage 1, sent back over ``connection``."""
-    with connection:
-        connection.send(_stage_one(prepared, pairs, config))
-
-
 def _stage_one_in_processes(
     prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig,
     count: int,
 ) -> list[tuple[PairReport, PairReport, PairTrace | None]]:
     """_stage_one over pairs[r::count] in process r: this process for r = 0
-    and a spawned worker for each other r.  Every pair is seeded from its
-    names alone, so the outcomes, put back in pair order, are _stage_one's
-    over all pairs.  Workers are daemonic and joined before this returns."""
+    and a spawned executor worker for each other r.  Every pair is seeded
+    from its names alone, so the outcomes, put back in pair order, are
+    _stage_one's over all pairs.  Every worker has exited before this
+    returns or raises."""
+    if count == 1:
+        return _stage_one(prepared, pairs, config)
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
-    workers = []
-    try:
-        for r in range(1, count):
-            receiver, sender = context.Pipe(duplex=False)
-            with sender:
-                worker = context.Process(
-                    target=_send_stage_one,
-                    args=(sender, prepared, pairs[r::count], config),
-                    daemon=True,
-                )
-                worker.start()
-            workers.append((worker, receiver))
-        outcomes: list = [None] * len(pairs)
+    outcomes: list = [None] * len(pairs)
+    with ProcessPoolExecutor(count - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        shares = {
+            r: pool.submit(_stage_one, prepared, pairs[r::count], config) for r in range(1, count)
+        }
         outcomes[0::count] = _stage_one(prepared, pairs[0::count], config)
-        for r, (worker, receiver) in enumerate(workers, start=1):
-            try:
-                outcomes[r::count] = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"a stage-1 worker exited with code {worker.exitcode} before sending "
-                    "its pairs"
-                ) from None
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, receiver in workers:
-            worker.join()
-            receiver.close()
+        for r, share in shares.items():
+            outcomes[r::count] = share.result()
     return outcomes
 
 
@@ -425,14 +396,18 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     do not depend on column order.  Stage 1 (band test and TS-SAVR) runs
     for every pair first; stage 2 then runs each enabled baseline over
     every ordering stage 1 scored, so the reports equal score_pair's pair by
-    pair.  Stage 1 runs in P processes, this one and P - 1 spawned workers
-    each taking every P-th pair, where P is the smallest of the usable CPUs,
-    the pairs to score, and pairs x n_shuffles x T over _SHARE_SAMPLES
-    (2e7) rounded down; P = 1 (one CPU, one pair, a smaller input, or a
-    daemonic caller) runs it inline.  Every result, trace arrays included,
-    is the same for any P.  With P > 1 a calling script must guard its
-    entry point with ``if __name__ == "__main__":``, as spawned processes
-    import the main module.  A channel that cannot be prepared, or a pair
+    pair.  Stage 1 runs in P processes, this one and the P - 1 workers of a
+    ProcessPoolExecutor with the spawn start method, each taking every P-th
+    pair, where P is the smallest of the usable CPUs, the pairs to score,
+    and pairs x n_shuffles x T over _SHARE_SAMPLES (2e7) rounded down; P = 1
+    (one CPU, one pair, a smaller input, or a daemonic caller) runs it
+    inline.  Every result, trace arrays included, is the same for any P.
+    With P > 1 a calling script must guard its entry point with
+    ``if __name__ == "__main__":``, as spawned processes import the main
+    module.  An exception in a worker's share is raised here with its own
+    type, and a worker that dies raises BrokenProcessPool; if this
+    process's own share raises, the running worker shares finish before
+    the exception leaves.  A channel that cannot be prepared, or a pair
     that fails stage 1, is reported with its error message and gets no
     baselines; other pairs are unaffected.  A pair whose only failure is an
     optional baseline keeps its scores, edge and trace, with that baseline's
@@ -446,10 +421,7 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     pairs = list(combinations(sorted(prepared), 2))
     ready = sum(not isinstance(s, str) for s in prepared.values())
     count = _process_count(ready * (ready - 1) // 2, config.n_shuffles, panel.length)
-    if count == 1:
-        outcomes = _stage_one(prepared, pairs, config)
-    else:
-        outcomes = _stage_one_in_processes(prepared, pairs, config, count)
+    outcomes = _stage_one_in_processes(prepared, pairs, config, count)
 
     reports: list[PairReport] = []
     edges: list[GraphEdge] = []

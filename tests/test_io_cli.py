@@ -558,6 +558,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["baseline", "ccm", *pair, "--embed-dim", "0"],
         ["analyze", csv_path, *out, "--tau-min", "0", "--tau-max", "0"],
         ["analyze", csv_path, *out, "--tau-min", "2", "--tau-max", "9"],
+        ["tssavr", *pair, "--tau-min", "2", "--tau-max", "9"],
+        ["tssavr", *pair, "--tau-min", "-1", "--tau-max", "5"],
         ["tssavr", str(timed), "--x", "X", "--y", "Y", "--interp-step", "0"],
         # A channel against itself.
         ["ssad", csv_path, "--x", "X", "--y", "X"],

@@ -472,6 +472,45 @@ def test_trace_arrays_from_worker_processes_are_read_only(monkeypatch):
     assert not any(a.flags.writeable for a in arrays)
 
 
+def _worker_share(c):
+    # Stage 1 of the pairs (A, B) and (A, C) at P = 2: the caller scores
+    # (A, B) and the worker its share pairs[1::2], (A, C), with C = c.
+    a, b = gen_four_species(40).series[:2]
+    prepared = {"A": Series("A", a.values), "B": Series("B", b.values), "C": c}
+    return pipeline._stage_one_in_processes(
+        prepared, [("A", "B"), ("A", "C")], RunConfig(window_length=5, n_shuffles=20), 2
+    )
+
+
+def test_a_worker_exception_keeps_its_type():
+    import multiprocessing
+
+    # A second channel named A, which _name_ordered rejects in the worker.
+    with pytest.raises(ValueError, match="both channels are named 'A'"):
+        _worker_share(Series("A", gen_white_noise(40, 1).values))
+    assert multiprocessing.active_children() == []
+
+
+class _ExitOnUnpickle:
+    """Unpickling this ends the process at once, as a crash would."""
+
+    def __reduce__(self):
+        import os
+
+        return os._exit, (3,)
+
+
+def test_a_worker_that_dies_raises_runtime_error():
+    import multiprocessing
+    import time
+
+    started = time.monotonic()
+    with pytest.raises(RuntimeError):
+        _worker_share(_ExitOnUnpickle())
+    assert time.monotonic() - started < 60
+    assert multiprocessing.active_children() == []
+
+
 def test_frozen_arrays_stay_read_only_through_pickle():
     import pickle
 
