@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import io as sio
-from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
+from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
 from .pipeline import RunConfig, _name_ordered, discover, pair_band_test, prepare_channel
@@ -138,10 +138,11 @@ def _generate(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # A field the subcommand has no flag for keeps its RunConfig default.
+    # A field the subcommand has no flag for keeps its RunConfig default;
+    # SIGAREA_SEED is read only where an omitted --seed leaves it None.
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     given = {k: v for k, v in vars(args).items() if k in fields}
-    if args.seed is None:
+    if "seed" in given and given["seed"] is None:
         given["seed"] = _default_seed()
     return RunConfig(**given)
 
@@ -175,9 +176,9 @@ def _ssad(args: argparse.Namespace) -> int:
 
 
 def _tssavr(args: argparse.Namespace) -> int:
-    _check_sides(_nonzero_taus(args.tau_min, args.tau_max), ValueError)
+    config = _config_from_args(args)
     a, b = _channel_pair(args)
-    verdict = ts_savr(shift_profile(a, b, args.tau_min, args.tau_max))
+    verdict = ts_savr(shift_profile(a, b, config.tau_min, config.tau_max))
     print(f"{sio.format_float(verdict.ratio)} {verdict.label}")
     return 0
 

@@ -62,21 +62,22 @@ class ShiftProfile:
         return ShiftProfile(self.pair[::-1], self.taus, negated)
 
 
+_LOW = 0.9
+_HIGH = 1.1
+
+
 @dataclass(frozen=True)
 class DirectionVerdict:
-    """Variance ratio with its thresholded direction label."""
+    """Variance ratio with its direction label, cut at ts_savr's fixed
+    0.9 and 1.1."""
 
     pair: tuple[str, str]
     ratio: float
     label: str
-    thresholds: tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))
         object.__setattr__(self, "ratio", float(self.ratio))
-        object.__setattr__(
-            self, "thresholds", (float(self.thresholds[0]), float(self.thresholds[1]))
-        )
 
 
 def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[int, ...]:
@@ -121,17 +122,13 @@ def shift_profile(
     return ShiftProfile((a.name, b.name), taus, areas)
 
 
-def ts_savr(
-    profile: ShiftProfile, low: float = 0.9, high: float = 1.1
-) -> DirectionVerdict:
+def ts_savr(profile: ShiftProfile) -> DirectionVerdict:
     """Direction verdict from the variance ratio of a shift profile.
 
     ratio = Var(areas at tau < 0) / Var(areas at tau > 0), sample variances
-    with the n-1 denominator.  ratio >= high labels i->j, ratio <= low
-    labels j->i, anything between is mutual (i<->j).
+    with the n-1 denominator.  ratio >= _HIGH (1.1) labels i->j, ratio <=
+    _LOW (0.9) labels j->i, anything between is mutual (i<->j).
     """
-    if not 0 < low <= high:
-        raise ValueError("thresholds must satisfy 0 < low <= high")
     _check_sides(profile.taus, InsufficientData)
     neg = profile.side(positive=False)
     pos = profile.side(positive=True)
@@ -142,10 +139,10 @@ def ts_savr(
         )
     ratio = float(np.var(neg, ddof=1)) / var_pos
     i, j = profile.pair
-    if ratio >= high:
+    if ratio >= _HIGH:
         label = f"{i}->{j}"
-    elif ratio <= low:
+    elif ratio <= _LOW:
         label = f"{j}->{i}"
     else:
         label = f"{i}<->{j}"
-    return DirectionVerdict(profile.pair, ratio, label, (low, high))
+    return DirectionVerdict(profile.pair, ratio, label)

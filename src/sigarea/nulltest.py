@@ -143,19 +143,16 @@ def confidence_band(
     ensemble: np.ndarray,
     rho: float = 1.0,
     alpha: float = 0.05,
-    pooled: bool = True,
 ) -> NullBand:
     """Confidence-sequence band around the shuffled-null mean.
 
-    With pooling (the default), mu[t] and sigma[t] are the sample mean and
-    sample standard deviation (n-1 denominator) of every ensemble entry in
-    windows 1..t, i.e. n*t values at window index t; bounds are
-    mu[t] -/+ sigma[t] * multiplier(t).  The moments are accumulated as
-    cumulative sums of grand-mean-centered values, which is algebraically
-    the running pooled mean/std but keeps the subtraction well conditioned.
-
-    pooled=False instead uses only the n entries of window t for mu[t] and
-    sigma[t] (per-window ensemble moments), with the same multiplier.
+    mu[t] and sigma[t] are the sample mean and sample standard deviation
+    (n-1 denominator) of every ensemble entry in windows 1..t, i.e. n*t
+    values at window index t, so the band narrows as windows accumulate;
+    bounds are mu[t] -/+ sigma[t] * multiplier(t).  The moments are
+    accumulated as cumulative sums of grand-mean-centered values, which is
+    algebraically the running mean/std of windows 1..t but keeps the
+    subtraction well conditioned.
 
     The sums run in the memory order of a Fortran-ordered copy of the input,
     so C- and Fortran-ordered ensembles with equal values give equal bits.
@@ -165,20 +162,16 @@ def confidence_band(
         raise InsufficientData("ensemble must be a nonempty n x W matrix")
     n, w = ens.shape
     if n < 2:
-        raise InsufficientData("pooled sample count at the first window is < 2")
+        raise InsufficientData("need at least 2 shuffles for a band")
     t = np.arange(1, w + 1)
-    if pooled:
-        m0 = ens.mean()
-        centered = ens - m0
-        s1 = np.cumsum(centered.sum(axis=0))
-        s2 = np.cumsum((centered * centered).sum(axis=0))
-        count = n * t
-        mu = m0 + s1 / count
-        var = np.maximum((s2 - s1 * s1 / count) / (count - 1), 0.0)
-        sigma = np.sqrt(var)
-    else:
-        mu = ens.mean(axis=0)
-        sigma = ens.std(axis=0, ddof=1)
+    m0 = ens.mean()
+    centered = ens - m0
+    s1 = np.cumsum(centered.sum(axis=0))
+    s2 = np.cumsum((centered * centered).sum(axis=0))
+    count = n * t
+    mu = m0 + s1 / count
+    var = np.maximum((s2 - s1 * s1 / count) / (count - 1), 0.0)
+    sigma = np.sqrt(var)
     m = multiplier(t, rho, alpha)
     return NullBand(mu - sigma * m, mu + sigma * m, mu, sigma, rho, alpha, n)
 
@@ -209,20 +202,20 @@ def ssad_pair_detail(
     stride: int = 1,
     rho: float = 1.0,
     alpha: float = 0.05,
-    pooled: bool = True,
 ) -> tuple[SsadResult, SsadResult, AreaSequence, NullBand]:
     """Both ordered SSAD results plus the (a, b) areas and band behind them.
 
-    The ensemble is computed once, for (a, b).  Swapping the pair negates
-    every signed area exactly (the path coordinates swap), so the (b, a)
-    result is the negated actual sequence scored against the negated band
-    with its bounds swapped; step by step that is the literal negation of
-    the forward indicators, which makes score(b, a) = -score(a, b) exact,
-    including the zero-width tie case.
+    The ensemble is computed once, for (a, b), and confidence_band turns it
+    into the band.  Swapping the pair negates every signed area exactly (the
+    path coordinates swap), so the (b, a) result is the negated actual
+    sequence scored against the negated band with its bounds swapped; step
+    by step that is the literal negation of the forward indicators, which
+    makes score(b, a) = -score(a, b) exact, including the zero-width tie
+    case.
     """
     actual = signed_area_sequence(a, b, window_length, stride)
     ens = null_ensemble(a, b, window_length, n_shuffles, seed, stride)
-    band = confidence_band(ens, rho, alpha, pooled)
+    band = confidence_band(ens, rho, alpha)
     forward = ssad(actual, band)
     reverse = SsadResult((b.name, a.name), -forward.per_step, -forward.score)
     return forward, reverse, actual, band

@@ -41,6 +41,8 @@ class RunConfig:
     rank mode: no hard edge threshold, every pair lands in the graph with
     its confidence.  difference_order is applied before scaling;
     interpolation onto a uniform grid happens at CSV load time, not here.
+    pooled must stay True, as the band always pools windows 1..t; the field
+    remains only because report.json records it.
     """
 
     window_length: int = 10
@@ -77,6 +79,8 @@ class RunConfig:
             raise ValueError("difference_order must be >= 0")
         if self.granger_tau_max < 1:
             raise ValueError("granger_tau_max must be >= 1")
+        if not self.pooled:
+            raise ValueError("pooled must be True: the band always pools windows 1..t")
 
     @property
     def effective_stride(self) -> int:
@@ -213,7 +217,6 @@ def pair_band_test(
         stride=config.effective_stride,
         rho=config.rho,
         alpha=config.alpha,
-        pooled=config.pooled,
     )
 
 
@@ -351,9 +354,10 @@ def _usable_cpus() -> int:
 
 def _process_count(pairs: int, n_shuffles: int, length: int) -> int:
     """How many processes stage 1 runs in: at most one per usable CPU and
-    per pair, each with a share of at least _SHARE_SAMPLES shuffled samples.
-    A daemonic process cannot start workers, so it gets 1."""
-    count = min(_usable_cpus(), pairs, max(1, pairs * n_shuffles * length // _SHARE_SAMPLES))
+    per pair, each with a share of at least _SHARE_SAMPLES shuffled samples,
+    and at least 1, which runs inline, even with no pair to score.  A
+    daemonic process cannot start workers, so it gets 1."""
+    count = max(1, min(_usable_cpus(), pairs, pairs * n_shuffles * length // _SHARE_SAMPLES))
     if count > 1:
         import multiprocessing
 
@@ -400,8 +404,9 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     ProcessPoolExecutor with the spawn start method, each taking every P-th
     pair, where P is the smallest of the usable CPUs, the pairs to score,
     and pairs x n_shuffles x T over _SHARE_SAMPLES (2e7) rounded down; P = 1
-    (one CPU, one pair, a smaller input, or a daemonic caller) runs it
-    inline.  Every result, trace arrays included, is the same for any P.
+    (one CPU, one pair, no pair of prepared channels, a smaller input, or
+    a daemonic caller) runs it inline.  Every result, trace arrays
+    included, is the same for any P.
     With P > 1 a calling script must guard its entry point with
     ``if __name__ == "__main__":``, as spawned processes import the main
     module.  An exception in a worker's share is raised here with its own

@@ -179,13 +179,16 @@ def test_ts_savr_labels_follow_thresholds():
 
 
 def test_ts_savr_threshold_boundaries_are_inclusive():
-    assert ts_savr(_profile([0.0, 1.0], [0.0, 1.0]), low=1.0, high=1.0).label == "i->j"
-    assert ts_savr(_profile([0.0, 1.0], [0.0, 2.0]), low=0.25, high=1.1).label == "j->i"
+    # Sample variances 11 and 10, then 9 and 10: ratios of exactly 1.1 and 0.9.
+    at_high = ts_savr(_profile([-3, -3, -1, 3, 4], [-4, -2, 0, 2, 4]))
+    assert at_high.ratio == 1.1
+    assert at_high.label == "i->j"
+    at_low = ts_savr(_profile([-3, 0, 3], [-4, -2, 0, 2, 4]))
+    assert at_low.ratio == 0.9
+    assert at_low.label == "j->i"
 
 
 def test_ts_savr_validation():
-    with pytest.raises(ValueError):
-        ts_savr(_profile([0.0, 1.0], [0.0, 1.0]), low=1.2, high=1.1)
     with pytest.raises(ZeroVariance):
         ts_savr(_profile([0.0, 1.0], [3.0, 3.0]))
     with pytest.raises(InsufficientData):
@@ -229,8 +232,8 @@ def test_white_noise_profile_stays_inside_null_band():
     assert observed <= 5.0 * nulls.std(ddof=1)
 
 
-def test_verdict_carries_its_thresholds():
-    verdict = DirectionVerdict(("a", "b"), 2.0, "a->b", (0.8, 1.2))
-    assert verdict.thresholds == (0.8, 1.2)
+def test_verdict_is_immutable():
+    verdict = DirectionVerdict(("a", "b"), 2, "a->b")
+    assert verdict.ratio == 2.0 and isinstance(verdict.ratio, float)
     with pytest.raises(AttributeError):
         verdict.ratio = 1.0

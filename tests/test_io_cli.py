@@ -510,6 +510,8 @@ def test_cli_seed_env_and_flag_precedence(tmp_path, monkeypatch):
 
     monkeypatch.setenv("SIGAREA_SEED", "not-a-number")
     assert cli.main(["analyze", csv_path, "--out", str(tmp_path / "x"), "--n-shuffles", "50"]) == 1
+    # tssavr takes no seed, so it does not read the variable.
+    assert cli.main(["tssavr", csv_path, "--x", "X", "--y", "Y"]) == 0
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
@@ -575,6 +577,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     single.write_text("A\n1\n2\n3\n")
     assert cli.main(["analyze", str(single), *out]) == 2
     assert capsys.readouterr().err == "error: need at least 2 channels to form pairs\n"
+
+    # One of two channels is constant: its pair is reported with the error.
+    flat = tmp_path / "flat.csv"
+    flat.write_text("A,C\n" + "".join(f"{v},0.5\n" for v in (1, 3, 2, 5, 4, 6)))
+    assert cli.main(["analyze", str(flat), *out, "--n-shuffles", "10"]) == 0
+    assert (tmp_path / "o" / "pairs.csv").read_text().count("ConstantSeries") == 2
 
 
 def test_cli_module_entry_point_smoke():

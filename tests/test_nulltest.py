@@ -73,14 +73,6 @@ def test_confidence_band_pooled_matches_naive_recomputation():
         assert band.upper[t - 1] == pytest.approx(mu + sigma * m, abs=1e-12)
 
 
-def test_confidence_band_per_window_mode():
-    rng = np.random.default_rng(6)
-    ens = rng.normal(size=(30, 8))
-    band = confidence_band(ens, pooled=False)
-    assert np.allclose(band.mu, ens.mean(axis=0), atol=1e-12)
-    assert np.allclose(band.sigma, ens.std(axis=0, ddof=1), atol=1e-12)
-
-
 def test_confidence_band_ordering_and_degenerate_ensemble():
     rng = np.random.default_rng(7)
     band = confidence_band(rng.normal(size=(10, 12)))
@@ -101,11 +93,10 @@ def test_confidence_band_ignores_memory_layout(t_len):
     ens = null_ensemble(a, b, 10, 50, seed=2)
     c_ordered = np.ascontiguousarray(ens)
     assert c_ordered.flags.c_contiguous and not c_ordered.flags.f_contiguous
-    for pooled in (True, False):
-        want = confidence_band(ens, pooled=pooled)
-        got = confidence_band(c_ordered, pooled=pooled)
-        for name in ("lower", "upper", "mu", "sigma"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    want = confidence_band(ens)
+    got = confidence_band(c_ordered)
+    for name in ("lower", "upper", "mu", "sigma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_confidence_band_insufficient_data():

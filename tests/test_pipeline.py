@@ -63,6 +63,8 @@ def test_run_config_stride_defaulting():
         {"theta": 1.5},
         {"difference_order": -1},
         {"granger_tau_max": 0},
+        # The band always pools windows 1..t.
+        {"pooled": False},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -187,6 +189,15 @@ def test_constant_channel_only_fails_its_own_pairs():
     assert all(r.error == "ConstantSeries: series 'C' has zero range" for r in broken)
     assert mixed.graph.edges == clean.graph.edges
     assert sorted(mixed.traces) == sorted(clean.traces)
+
+
+def test_discover_with_one_channel_that_prepares_reports_the_pair():
+    # No pair of prepared channels is left to score: stage 1 runs inline.
+    noise = gen_white_noise(300, 1, "A")
+    result = discover(Panel((noise, Series("C", np.full(300, 0.5)))), RunConfig(n_shuffles=50))
+    assert [r.pair for r in result.reports] == [("A", "C"), ("C", "A")]
+    assert all(r.error == "ConstantSeries: series 'C' has zero range" for r in result.reports)
+    assert result.traces == {} and result.graph.edges == ()
 
 
 def test_noise_channel_does_not_need_the_first_channel():
@@ -566,6 +577,8 @@ def test_process_count_follows_the_input(monkeypatch):
     assert pipeline._process_count(10, 1000, 1000) == 1
     # panel_wide: 66 pairs x 1000 shuffles x T = 1000.
     assert pipeline._process_count(66, 1000, 1000) == min(cpus, 3)
+    # No pair of prepared channels: still one process, the caller.
+    assert pipeline._process_count(0, 1000, 1000) == 1
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     assert pipeline._process_count(66, 1000, 1000) == 1
 
