@@ -23,38 +23,27 @@ _CF_EPS = 3e-16
 _CF_TINY = 1e-300
 
 
+def _nonzero(v: float) -> float:
+    """v, or _CF_TINY when |v| is below it; a NaN passes through."""
+    return _CF_TINY if abs(v) < _CF_TINY else v
+
+
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
+    """Continued fraction for the incomplete beta, modified Lentz scheme:
+    one update per even and odd term, converged when the odd one is ~1."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + num / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + num / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for num in (even, odd):
+            d = 1.0 / _nonzero(1.0 + num * d)
+            c = _nonzero(1.0 + num / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")

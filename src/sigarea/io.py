@@ -134,12 +134,17 @@ def read_csv(
 
 
 def write_csv(panel: Panel, path: str, times: np.ndarray | None = None) -> None:
-    """Write a panel as a headed CSV, optionally with a leading time column."""
+    """Write a panel as a headed CSV, optionally with a leading time column,
+    that read_csv reads back exactly; a name it would not raises ValueError."""
     if times is not None and len(times) != panel.length:
         raise ValueError("time column length does not match the panel")
-    lines = []
-    header = (["time"] if times is not None else []) + list(panel.names)
-    lines.append(",".join(header))
+    names = panel.names
+    if "time" in (names if times is not None else names[:1]):
+        raise ValueError("a channel named 'time' would not read back as a channel")
+    if any(n != n.strip() for n in names):
+        raise ValueError("a channel name with surrounding whitespace would not read back")
+    header = (["time"] if times is not None else []) + list(names)
+    lines = [",".join(map(_csv_quote, header))]
     columns = [s.values for s in panel.series]
     if times is not None:
         columns = [np.asarray(times, dtype=np.float64)] + columns
@@ -251,6 +256,6 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
+    if any(ch in cell for ch in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell

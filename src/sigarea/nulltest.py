@@ -40,7 +40,8 @@ def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
                      * ln( sqrt(t rho^2 + 1) / (alpha / 2) ) )
 
     Strictly decreasing in t, so the band narrows as windows accumulate.
-    Accepts scalars or arrays of window indices.
+    Accepts scalars or arrays of window indices.  The one check of rho and
+    alpha: ValueError unless rho > 0, 0 < alpha < 1 and every m is finite.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -50,8 +51,11 @@ def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
     if np.any(t_arr < 1):
         raise ValueError("window index t is 1-based and must be >= 1")
     r2 = rho * rho
-    inner = t_arr * r2 + 1.0
-    out = np.sqrt(2.0 * inner / (t_arr * t_arr * r2) * np.log(np.sqrt(inner) / (alpha / 2.0)))
+    with np.errstate(all="ignore"):
+        inner = t_arr * r2 + 1.0
+        out = np.sqrt(2.0 * inner / (t_arr * t_arr * r2) * np.log(np.sqrt(inner) / (alpha / 2.0)))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"rho={rho!r} and alpha={alpha!r} give a non-finite band multiplier")
     return float(out) if np.isscalar(t) else out
 
 

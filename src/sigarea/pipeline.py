@@ -24,7 +24,7 @@ from typing import Mapping
 from .baselines import ccm_many, granger_many
 from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
-from .nulltest import NullBand, SsadResult, ssad_pair_detail
+from .nulltest import NullBand, SsadResult, multiplier, ssad_pair_detail
 from .rng import derive_seed
 from .series import Panel, Series, difference, scale_unit_range
 from .signature import AreaSequence
@@ -42,7 +42,8 @@ class RunConfig:
     its confidence.  difference_order is applied before scaling;
     interpolation onto a uniform grid happens at CSV load time, not here.
     pooled must stay True, as the band always pools windows 1..t; the field
-    remains only because report.json records it.
+    remains only because report.json records it.  rho and alpha are checked
+    by nulltest.multiplier at t = 1, the one copy of their rule.
     """
 
     window_length: int = 10
@@ -68,10 +69,7 @@ class RunConfig:
             raise ValueError("n_shuffles must be >= 2")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be >= 1 when given")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+        multiplier(1, self.rho, self.alpha)
         _check_sides(_nonzero_taus(self.tau_min, self.tau_max), ValueError)
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1] when given")

@@ -125,7 +125,8 @@ def interpolate_uniform(
     """Linearly resample onto the uniform grid times[0], times[0]+step, ...
 
     The grid runs up to the largest point not exceeding times[-1], so grid
-    points that coincide with input samples reproduce them exactly.
+    points that coincide with input samples reproduce them exactly.  A step
+    that is not finite and positive raises ValueError, a parameter error.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -133,8 +134,8 @@ def interpolate_uniform(
         raise LengthMismatch("times and values must be equal-length vectors")
     if t.size < 2:
         raise EmptyRange("need at least 2 samples to interpolate")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError("step must be a finite positive number")
     if np.any(np.diff(t) <= 0):
         raise NonMonotonicTime("time stamps must be strictly increasing")
     # Tiny relative slack so an endpoint that lands on the grid in exact

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import DegeneratePath, LengthMismatch, WindowTooLong
 from .series import Series, _freeze, _reduce_through_init, check_lengths
 
-# Above this many samples, plain left-to-right accumulation of the level-2
-# products can lose digits; math.fsum keeps the whole-interval areas used by
-# the shift profiles exact.
+# np.sum adds these contiguous term arrays pairwise, with an error that grows
+# with their length; above this many terms math.fsum, correctly rounded but
+# slower, sums the whole-interval areas of the shift profiles instead.
 _FSUM_THRESHOLD = 1000
 
 

@@ -5,6 +5,7 @@ at 40 significant digits, and the same reference is recomputed live so the
 table itself cannot go stale.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,42 @@ F_TAIL_TABLE = (
     (12, 50, 1.0, 0.46277189346136103),
     (2, 2, 1.0, 0.5),
 )
+
+# Exact bits, as float.hex, of f_upper_tail on the F_TAIL_TABLE inputs and of
+# regularized_incomplete_beta on BETA_GRID (a, b, x), which reaches both sides
+# of the symmetry switch.  The tolerance tests below would not see a rewrite
+# of the continued fraction that moves one rounding; these would.
+F_TAIL_HEX = (
+    "0x1.fb8b04f6ad954p-2", "0x1.9a516aa3ba038p-5", "0x1.9a75aa29927b6p-5",
+    "0x1.e9c507abc2415p-1", "0x1.9986c877e4eb0p-5", "0x1.9d7279c0b6d21p-5",
+    "0x1.8dbbbfe07b1ddp-5", "0x1.afdfa25b0a7c4p-41", "0x1.ffffe2929aa51p-1",
+    "0x1.56f195ce45a84p-22", "0x1.d9e0e00fb2b5cp-2", "0x1.0000000000000p-1",
+)
+BETA_GRID = ((0.5, 4.0, 60.0), (0.5, 3.0, 40.0), (0.1, 0.4, 0.6, 0.9))
+BETA_GRID_HEX = (
+    "0x1.a37f5c4c419e9p-3", "0x1.be5e15eb156bfp-2", "0x1.20d0f50a754a0p-1",
+    "0x1.972028ecef986p-1", "0x1.1bf27e094d342p-1", "0x1.d0ad7f9d5cf3dp-1",
+    "0x1.f3b5329832479p-1", "0x1.ffd567a8c2d14p-1", "0x1.fe0ddea49923bp-1",
+    "0x1.fffffffe69ddbp-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.de567370b50cbp-16", "0x1.170f9854c1202p-7", "0x1.976f092178a09p-5",
+    "0x1.7e55fe8d8ec10p-2", "0x1.4cec41dd1a22cp-10", "0x1.6f0068db8bacap-3",
+    "0x1.16b11c6d1e106p-1", "0x1.f7e28240b7803p-1", "0x1.4539f53baf19bp-1",
+    "0x1.ffffd865ca931p-1", "0x1.ffffffffff417p-1", "0x1.0000000000000p+0",
+    "0x1.f7d59d2f1c85bp-204", "0x1.3327612e2ee71p-83", "0x1.8fed9d8bf1fa2p-48",
+    "0x1.96675491ba4a9p-12", "0x1.34cb113f6d246p-189", "0x1.1786e122c0366p-70",
+    "0x1.113e280fba49dp-36", "0x1.7471acbb77389p-5", "0x1.025cc0a0d7cbep-113",
+    "0x1.d299312db02a5p-16", "0x1.fa6eb90814a9ep-2", "0x1.fffffffffffeep-1",
+)
+
+
+def test_f_tail_bits_are_frozen():
+    got = tuple(f_upper_tail(f, df1, df2).hex() for df1, df2, f, _ in F_TAIL_TABLE)
+    assert got == F_TAIL_HEX
+    got = tuple(
+        regularized_incomplete_beta(a, b, x).hex()
+        for a, b, x in itertools.product(*BETA_GRID)
+    )
+    assert got == BETA_GRID_HEX
 
 
 def test_f_tail_matches_frozen_table():

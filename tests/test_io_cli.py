@@ -51,19 +51,35 @@ def test_format_float_round_trips_exactly():
 
 
 def test_csv_round_trip_is_exact(tmp_path):
+    # Names with CSV delimiters, quotes and line breaks are quoted in the
+    # header; "time" after the first column is an ordinary channel.
+    names = ("A", "B", "a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", "time")
     panel = Panel(
-        (
-            gen_white_noise(40, derive_seed(30, 0), name="A"),
-            gen_white_noise(40, derive_seed(30, 1), name="B"),
-        )
+        tuple(gen_white_noise(40, derive_seed(30, k), name=n) for k, n in enumerate(names))
     )
     path = str(tmp_path / "panel.csv")
     write_csv(panel, path)
     loaded, times = read_csv(path)
     assert times is None
-    assert loaded.names == ("A", "B")
+    assert loaded.names == names
     for name in loaded.names:
         assert np.array_equal(loaded.get(name).values, panel.get(name).values)
+
+
+def test_write_csv_rejects_names_that_would_not_read_back(tmp_path):
+    path = str(tmp_path / "panel.csv")
+    time = gen_white_noise(5, derive_seed(31, 0), name="time")
+    a = gen_white_noise(5, derive_seed(31, 1), name="A")
+    # First, it would read back as the time column; with times=, repeat it.
+    with pytest.raises(ValueError, match="'time'"):
+        write_csv(Panel((time, a)), path)
+    with pytest.raises(ValueError, match="'time'"):
+        write_csv(Panel((a, time)), path, times=np.arange(5.0))
+    # read_csv strips the header cells.
+    for name in (" A", "A\t", "\r"):
+        with pytest.raises(ValueError, match="whitespace"):
+            write_csv(Panel((Series(name, [1.0, 2.0]),)), path)
+    assert not os.path.exists(path)
 
 
 def test_csv_time_column_and_interpolation(tmp_path):
@@ -563,6 +579,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["tssavr", *pair, "--tau-min", "2", "--tau-max", "9"],
         ["tssavr", *pair, "--tau-min", "-1", "--tau-max", "5"],
         ["tssavr", str(timed), "--x", "X", "--y", "Y", "--interp-step", "0"],
+        # Non-finite parameters are usage errors too, not data errors.
+        ["ssad", *pair, "--rho", "nan"],
+        ["analyze", csv_path, *out, "--rho", "inf"],
+        ["analyze", csv_path, *out, "--alpha", "nan"],
         # A channel against itself.
         ["ssad", csv_path, "--x", "X", "--y", "X"],
         ["tssavr", csv_path, "--x", "Y", "--y", "Y"],
@@ -571,6 +591,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     ):
         assert cli.main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    for step in ("inf", "nan"):
+        assert cli.main(["analyze", str(timed), *out, "--interp-step", step]) == 1
+        assert capsys.readouterr().err == "error: step must be a finite positive number\n"
     assert not os.path.exists(out[1])  # no analyze got as far as its pairs
 
     single = tmp_path / "single.csv"

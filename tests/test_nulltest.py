@@ -8,6 +8,7 @@ recomputation that shares no code with the implementation.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_multiplier_validation():
         multiplier(1, alpha=1.0)
     with pytest.raises(ValueError):
         multiplier(0)
+    # A rho whose square underflows, or a non-finite rho, gives no finite
+    # width; numpy must not warn on the way (warnings are errors here).
+    for rho in (1e-200, float("nan"), float("inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                multiplier(3, rho)
 
 
 def test_confidence_band_pooled_matches_naive_recomputation():

@@ -53,6 +53,9 @@ def test_run_config_stride_defaulting():
         {"n_shuffles": 1},
         {"stride": 0},
         {"rho": 0.0},
+        {"rho": float("nan")},
+        {"rho": float("inf")},
+        {"rho": 1e-200},
         {"alpha": 1.0},
         {"tau_min": 4, "tau_max": 2},
         {"tau_min": 0, "tau_max": 0},

@@ -125,8 +125,9 @@ def test_interpolate_uniform_errors():
         interpolate_uniform(np.array([0.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0)
     with pytest.raises(EmptyRange):
         interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 5.0)
-    with pytest.raises(ValueError):
-        interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), -1.0)
+    for step in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite positive"):
+            interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), step)
 
 
 def test_time_shift_pair_examples():
