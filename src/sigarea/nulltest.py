@@ -41,7 +41,9 @@ def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
 
     Strictly decreasing in t, so the band narrows as windows accumulate.
     Accepts scalars or arrays of window indices.  The one check of rho and
-    alpha: ValueError unless rho > 0, 0 < alpha < 1 and every m is finite.
+    alpha: ValueError unless rho > 0, 0 < alpha < 1 and every m is finite
+    and positive.  A huge rho makes t^2 rho^2 overflow before t rho^2 + 1
+    does, which would give m = 0 and a zero-width band, not the true width.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -54,22 +56,23 @@ def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
     with np.errstate(all="ignore"):
         inner = t_arr * r2 + 1.0
         out = np.sqrt(2.0 * inner / (t_arr * t_arr * r2) * np.log(np.sqrt(inner) / (alpha / 2.0)))
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"rho={rho!r} and alpha={alpha!r} give a non-finite band multiplier")
+    if not np.all(np.isfinite(out) & (out > 0)):
+        raise ValueError(
+            f"rho={rho!r} and alpha={alpha!r} give a non-finite or zero band multiplier"
+        )
     return float(out) if np.isscalar(t) else out
 
 
 @dataclass(frozen=True)
 class NullBand:
-    """Per-window confidence-sequence bounds from a shuffle ensemble."""
+    """Per-window confidence-sequence bounds from a shuffle ensemble: the
+    bounds and the running mean and standard deviation behind them.  The
+    rho, alpha and shuffle count that made them are the run's RunConfig."""
 
     lower: np.ndarray
     upper: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-    rho: float = 1.0
-    alpha: float = 0.05
-    n_shuffles: int = 1000
 
     __reduce__ = _reduce_through_init
 
@@ -177,7 +180,7 @@ def confidence_band(
     var = np.maximum((s2 - s1 * s1 / count) / (count - 1), 0.0)
     sigma = np.sqrt(var)
     m = multiplier(t, rho, alpha)
-    return NullBand(mu - sigma * m, mu + sigma * m, mu, sigma, rho, alpha, n)
+    return NullBand(mu - sigma * m, mu + sigma * m, mu, sigma)
 
 
 def ssad(actual: AreaSequence, band: NullBand) -> SsadResult:

@@ -218,40 +218,11 @@ def pair_band_test(
     )
 
 
-def _pair_statistics(
-    a: Series, b: Series, config: RunConfig
-) -> tuple[PairReport, PairReport, PairTrace]:
-    """Stage 1: the band test and TS-SAVR of the name-ordered pair (a, b).
-
-    Returns the (a, b) and (b, a) reports, without baseline columns, and the
-    pair's trace, as score_pair does.  A failing band test or TS-SAVR raises
-    its SigAreaError.
-    """
-    fwd, rev, actual, band = pair_band_test(a, b, config)
-    profile = shift_profile(a, b, config.tau_min, config.tau_max)
-    verdicts = [ts_savr(profile), ts_savr(profile.reversed())]
-    abs_ssad = abs(fwd.score)
-    passes = config.theta is not None and abs_ssad >= config.theta
-    forward, reverse = [
-        PairReport(
-            (x, y),
-            ssad=result.score,
-            abs_ssad=abs_ssad,
-            ts_savr=verdict.ratio,
-            direction=verdict.label,
-            edge=passes and _supports(verdict.label, x, y),
-        )
-        for (x, y), result, verdict in zip(
-            ((a.name, b.name), (b.name, a.name)), (fwd, rev), verdicts
-        )
-    ]
-    return forward, reverse, PairTrace(actual, band)
-
-
 def _with_baselines(
     reports: list[PairReport], channels: Mapping[str, Series | str], config: RunConfig
 ) -> list[PairReport]:
-    """Stage 2: each enabled baseline column over every error-free report.
+    """Stage 2 of discover: each enabled baseline column over every
+    error-free report of stage 1.
 
     Report (x, y) runs on channels[x] and channels[y]; a report that already
     carries an error is returned as it is.  Orderings are grouped by their
@@ -291,33 +262,17 @@ def _with_baselines(
     return [replace(report, **extra) for report, extra in zip(reports, extras)]
 
 
-def score_pair(
-    a: Series, b: Series, config: RunConfig
-) -> tuple[PairReport, PairReport, PairTrace]:
-    """Score one pair of prepared channels: stage 1, then stage 2 on it.
-
-    The band test runs once for the name-ordered pair and the other
-    ordering takes the exactly negated SSAD; TS-SAVR and the optional
-    baselines cover both orders.  Returns the (a, b) and (b, a) reports and
-    the name-ordered pair's trace, none of which depends on argument order.
-    A failing band test or TS-SAVR raises its SigAreaError; a failing
-    baseline only empties its own column and sets that report's error.
-    Two channels with the same name raise ValueError.
-    """
-    first, second = _name_ordered(a, b)
-    fwd, rev, trace = _pair_statistics(first, second, config)
-    fwd, rev = _with_baselines([fwd, rev], {a.name: a, b.name: b}, config)
-    return (fwd, rev, trace) if first is a else (rev, fwd, trace)
-
-
 def _stage_one(
     prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig
 ) -> list[tuple[PairReport, PairReport, PairTrace | None]]:
-    """Stage 1 of each name-ordered pair (i, j), in the order given.
+    """Stage 1 of each name-ordered pair (i, j), in the order given: the
+    band test, then TS-SAVR of the shift profile in both orders.
 
-    A pair gives its (i, j) and (j, i) reports and its trace; a pair with a
-    channel that could not be prepared, or whose stage 1 fails, gives its
-    two error reports and None.
+    A pair gives its (i, j) and (j, i) reports, without baseline columns,
+    and its trace.  A pair with a channel that could not be prepared gives
+    two reports carrying that channel's error text (i's first) and None;
+    so does a pair whose band test, shift profile or either TS-SAVR raises
+    a SigAreaError, with the text of the first one raised.
     """
     outcomes: list[tuple[PairReport, PairReport, PairTrace | None]] = []
     for i, j in pairs:
@@ -325,11 +280,30 @@ def _stage_one(
         error = a if isinstance(a, str) else b if isinstance(b, str) else None
         if error is None:
             try:
-                outcomes.append(_pair_statistics(a, b, config))
-                continue
+                fwd, rev, actual, band = pair_band_test(a, b, config)
+                profile = shift_profile(a, b, config.tau_min, config.tau_max)
+                verdicts = (ts_savr(profile), ts_savr(profile.reversed()))
             except SigAreaError as exc:
                 error = _error_text(exc)
-        outcomes.append((PairReport((i, j), error=error), PairReport((j, i), error=error), None))
+        if error is not None:
+            outcomes.append(
+                (PairReport((i, j), error=error), PairReport((j, i), error=error), None)
+            )
+            continue
+        abs_ssad = abs(fwd.score)
+        passes = config.theta is not None and abs_ssad >= config.theta
+        forward, reverse = [
+            PairReport(
+                (x, y),
+                ssad=result.score,
+                abs_ssad=abs_ssad,
+                ts_savr=verdict.ratio,
+                direction=verdict.label,
+                edge=passes and _supports(verdict.label, x, y),
+            )
+            for (x, y), result, verdict in zip(((i, j), (j, i)), (fwd, rev), verdicts)
+        ]
+        outcomes.append((forward, reverse, PairTrace(actual, band)))
     return outcomes
 
 
@@ -395,16 +369,16 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     Each series is differenced (order 0 = untouched) and scaled; an
     optional white-noise control channel is appended and scaled the same
     way.  Unordered pairs are taken in lexicographic name order, so results
-    do not depend on column order.  Stage 1 (band test and TS-SAVR) runs
-    for every pair first; stage 2 then runs each enabled baseline over
-    every ordering stage 1 scored, so the reports equal score_pair's pair by
-    pair.  Stage 1 runs in P processes, this one and the P - 1 workers of a
-    ProcessPoolExecutor with the spawn start method, each taking every P-th
-    pair, where P is the smallest of the usable CPUs, the pairs to score,
-    and pairs x n_shuffles x T over _SHARE_SAMPLES (2e7) rounded down; P = 1
-    (one CPU, one pair, no pair of prepared channels, a smaller input, or
-    a daemonic caller) runs it inline.  Every result, trace arrays
-    included, is the same for any P.
+    do not depend on column order, and a pair's reports and trace do not
+    depend on the panel's other channels.  Stage 1 (_stage_one: band test
+    and TS-SAVR) runs for every pair first; stage 2 then runs each enabled
+    baseline over every ordering stage 1 scored.  Stage 1 runs in P
+    processes, this one and the P - 1 workers of a ProcessPoolExecutor with
+    the spawn start method, each taking every P-th pair, where P is the
+    smallest of the usable CPUs, the pairs to score, and pairs x n_shuffles
+    x T over _SHARE_SAMPLES (2e7) rounded down; P = 1 (one CPU, one pair, no
+    pair of prepared channels, a smaller input, or a daemonic caller) runs
+    it inline.  Every result, trace arrays included, is the same for any P.
     With P > 1 a calling script must guard its entry point with
     ``if __name__ == "__main__":``, as spawned processes import the main
     module.  An exception in a worker's share is raised here with its own

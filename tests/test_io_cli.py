@@ -562,6 +562,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     four = str(tmp_path / "four.csv")
     assert cli.main(["generate", "four_species", "--tau-d", "2", "--out", four]) == 1
     assert "two_species_bidir" in capsys.readouterr().err
+    assert cli.main(["generate", "four_species", "--out", four]) == 0
 
     # Every parameter error exits 1 with an error line, whatever the subcommand.
     pair = [csv_path, "--x", "X", "--y", "Y"]
@@ -583,6 +584,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["ssad", *pair, "--rho", "nan"],
         ["analyze", csv_path, *out, "--rho", "inf"],
         ["analyze", csv_path, *out, "--alpha", "nan"],
+        # t^2 rho^2 overflows from window 135 on, which would give m = 0 there.
+        ["ssad", four, "--x", "Y", "--y", "Z", "--n-shuffles", "50", "--stride", "1",
+         "--rho", "1e152"],
         # A channel against itself.
         ["ssad", csv_path, "--x", "X", "--y", "X"],
         ["tssavr", csv_path, "--x", "Y", "--y", "Y"],

@@ -64,6 +64,14 @@ def test_multiplier_validation():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 multiplier(3, rho)
+    # A huge rho overflows t^2 rho^2 before t rho^2 + 1, so m would be
+    # exactly 0 from some window on: from t = 135 at 1e152 (no inf or nan
+    # anywhere) and over t = 14..89 at 1e153.
+    for t, rho in ((np.arange(1, 992), 1e152), (np.arange(1, 90), 1e153)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite or zero"):
+                multiplier(t, rho)
 
 
 def test_confidence_band_pooled_matches_naive_recomputation():

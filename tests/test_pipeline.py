@@ -1,7 +1,6 @@
 """End-to-end discovery runs on the benchmark panels."""
 
 from dataclasses import replace
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,6 @@ from sigarea import (
     gen_white_noise,
     granger,
     rank_pairs,
-    score_pair,
     window_count,
 )
 from sigarea import pipeline
@@ -215,23 +213,28 @@ def test_noise_channel_does_not_need_the_first_channel():
     assert len(result.traces[("B", "W")].actual.values) == window_count(t_len - 1, 10, 10)
 
 
-def test_score_pair_ignores_argument_order(sync_scaled):
+def test_pair_band_test_ignores_argument_order(sync_scaled):
     xs, ys = sync_scaled
     cfg = RunConfig(n_shuffles=100)
-    xy, yx, trace = score_pair(xs, ys, cfg)
-    assert score_pair(ys, xs, cfg)[:2] == (yx, xy)
-    assert xy.pair == ("X", "Y") and yx.pair == ("Y", "X")
-    assert yx.ssad == -xy.ssad
-    assert trace.actual.pair == ("X", "Y")
+    fwd, rev, actual, band = pipeline.pair_band_test(xs, ys, cfg)
+    swapped = pipeline.pair_band_test(ys, xs, cfg)
+    assert fwd.pair == actual.pair == ("X", "Y") and rev.pair == ("Y", "X")
+    assert rev.score == -fwd.score
+    for result, other in zip((fwd, rev), swapped[:2]):
+        assert other.pair == result.pair and other.score == result.score
+        assert other.per_step.tobytes() == result.per_step.tobytes()
+    assert swapped[2].pair == actual.pair
+    assert swapped[2].values.tobytes() == actual.values.tobytes()
+    for field in ("lower", "upper", "mu", "sigma"):
+        assert getattr(swapped[3], field).tobytes() == getattr(band, field).tobytes()
 
 
-def test_score_pair_rejects_two_channels_of_one_name(sync_scaled):
-    # Stage 2 looks channels up by name, so it could not tell them apart;
-    # the band test alone, seeded by name, rejects them the same way.
+def test_pair_band_test_rejects_two_channels_of_one_name(sync_scaled):
+    # The pair is seeded by its names, so two channels of one name have no
+    # seed of their own, and stage 2 could not tell them apart.
     xs, ys = sync_scaled
-    for run in (score_pair, pipeline.pair_band_test):
-        with pytest.raises(ValueError, match="both channels are named 'X'"):
-            run(xs, Series("X", ys.values), RunConfig(n_shuffles=10))
+    with pytest.raises(ValueError, match="both channels are named 'X'"):
+        pipeline.pair_band_test(xs, Series("X", ys.values), RunConfig(n_shuffles=10))
 
 
 def test_discover_runs_band_tests_then_each_baseline_in_one_burst(monkeypatch):
@@ -332,24 +335,30 @@ def test_grouped_baselines_give_each_ordering_its_own_result():
     }
 
 
-def test_discover_equals_score_pair_pair_by_pair():
+def test_a_pair_does_not_depend_on_the_rest_of_the_panel():
+    # A pair is seeded from its names, and its baselines read its own two
+    # channels, so the two-channel panel (columns reversed) gives the same
+    # reports, baseline columns and noise-channel rows included, and the
+    # same trace bytes as the whole panel.
     panel = gen_four_species(300)
-    config = RunConfig(n_shuffles=100, add_noise_channel=True, run_granger=True, run_ccm=True)
-    result = discover(panel, config)
-    by_pair = {r.pair: r for r in result.reports}
-    prepared = pipeline._prepare(panel, config)
-    assert sorted(prepared) == ["V", "W", "X", "Y", "Z"]
-    for k, (i, j) in enumerate(combinations(sorted(prepared), 2)):
-        # Half the pairs are handed to score_pair in reverse order.
-        a, b = (prepared[i], prepared[j]) if k % 2 else (prepared[j], prepared[i])
-        first, second, trace = score_pair(a, b, config)
-        assert (first, second) == (by_pair[(a.name, b.name)], by_pair[(b.name, a.name)])
-        assert first.error is None and first.granger_min_p is not None
-        kept = result.traces[(i, j)]
-        assert trace.actual.pair == kept.actual.pair == (i, j)
-        assert trace.actual.values.tobytes() == kept.actual.values.tobytes()
-        for field in ("lower", "upper", "mu", "sigma"):
-            assert getattr(trace.band, field).tobytes() == getattr(kept.band, field).tobytes()
+    config = RunConfig(n_shuffles=50, add_noise_channel=True, run_granger=True, run_ccm=True)
+    whole = discover(panel, config)
+    assert sorted(whole.nodes) == ["V", "W", "X", "Y", "Z"]
+    by_pair = {r.pair: r for r in whole.reports}
+    for i, j in (("V", "X"), ("X", "Z"), ("Y", "Z")):
+        part = discover(Panel((panel.get(j), panel.get(i))), config)
+        assert part.nodes == (j, i, "W") and len(part.reports) == 6
+        for report in part.reports:
+            assert report.error is None
+            assert None not in (report.granger_min_p, report.ccm_max_r2)
+            assert report == by_pair[report.pair]
+        assert len(part.traces) == 3
+        for key, trace in part.traces.items():
+            kept = whole.traces[key]
+            assert trace.actual.pair == kept.actual.pair == key
+            assert [a.tobytes() for a in _trace_arrays(trace)] == [
+                a.tobytes() for a in _trace_arrays(kept)
+            ]
 
 
 def test_reports_do_not_depend_on_column_order():
@@ -438,7 +447,6 @@ def _assert_same_result(result, inline):
     for key, trace in inline.traces.items():
         other = result.traces[key]
         assert other.actual.pair == trace.actual.pair
-        assert other.band.n_shuffles == trace.band.n_shuffles
         assert [a.tobytes() for a in _trace_arrays(other)] == [
             a.tobytes() for a in _trace_arrays(trace)
         ]
@@ -535,7 +543,7 @@ def test_frozen_arrays_stay_read_only_through_pickle():
     for frozen in (
         Series("A", values),
         AreaSequence(("A", "B"), 2, 1, values),
-        NullBand(values - 1, values + 1, values, values, rho=2.0, alpha=0.1, n_shuffles=7),
+        NullBand(values - 1, values + 1, values, values),
         SsadResult(("A", "B"), np.array([0, 1, -1]), 0.0),
         Sig2(values[:2], np.eye(2)),
     ):
