@@ -12,6 +12,10 @@ ssad runs the pair's band test through the same code as analyze, seeded
 from the sorted pair names, so swapping --x and --y prints the exact
 negation; it takes no shift flags and runs no TS-SAVR.
 generate takes --tau-d only for two_species_bidir.
+baseline reads the raw channels; analyze's baseline columns read the
+prepared ones, so they can differ in the last digits, or entirely under
+--difference-order.  analyze's (x, y) granger_min_p is baseline granger
+--x y --y x, and its ccm_max_r2 is baseline ccm --x x --y y.
 
 Exit codes: 0 success, 1 usage or parameter error (a bad flag value, a
 generator parameter the system does not take, one channel as both --x and

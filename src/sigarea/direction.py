@@ -68,16 +68,26 @@ _HIGH = 1.1
 
 @dataclass(frozen=True)
 class DirectionVerdict:
-    """Variance ratio with its direction label, cut at ts_savr's fixed
-    0.9 and 1.1."""
+    """The variance ratio ts_savr measured for ``pair``.  Its cut at the
+    fixed 0.9 and 1.1 is ``leads``, and ``label`` writes that out."""
 
     pair: tuple[str, str]
     ratio: float
-    label: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))
         object.__setattr__(self, "ratio", float(self.ratio))
+
+    @property
+    def leads(self) -> int:
+        """+1 if pair[0] leads (ratio >= 1.1), -1 if pair[1] (<= 0.9), else 0."""
+        return int(self.ratio >= _HIGH) - int(self.ratio <= _LOW)
+
+    @property
+    def label(self) -> str:
+        """"i->j", "j->i" or "i<->j" (mutual) for leads +1, -1 or 0."""
+        i, j = self.pair
+        return (f"{i}<->{j}", f"{i}->{j}", f"{j}->{i}")[self.leads]
 
 
 def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[int, ...]:
@@ -126,8 +136,8 @@ def ts_savr(profile: ShiftProfile) -> DirectionVerdict:
     """Direction verdict from the variance ratio of a shift profile.
 
     ratio = Var(areas at tau < 0) / Var(areas at tau > 0), sample variances
-    with the n-1 denominator.  ratio >= _HIGH (1.1) labels i->j, ratio <=
-    _LOW (0.9) labels j->i, anything between is mutual (i<->j).
+    with the n-1 denominator.  The verdict's leads cuts it: >= _HIGH (1.1)
+    is i->j, <= _LOW (0.9) is j->i, anything between is mutual (i<->j).
     """
     _check_sides(profile.taus, InsufficientData)
     neg = profile.side(positive=False)
@@ -137,12 +147,4 @@ def ts_savr(profile: ShiftProfile) -> DirectionVerdict:
         raise ZeroVariance(
             "positive-shift areas are constant; variance ratio undefined"
         )
-    ratio = float(np.var(neg, ddof=1)) / var_pos
-    i, j = profile.pair
-    if ratio >= _HIGH:
-        label = f"{i}->{j}"
-    elif ratio <= _LOW:
-        label = f"{j}->{i}"
-    else:
-        label = f"{i}<->{j}"
-    return DirectionVerdict(profile.pair, ratio, label)
+    return DirectionVerdict(profile.pair, float(np.var(neg, ddof=1)) / var_pos)

@@ -184,10 +184,6 @@ def _prepare(panel: Panel, config: RunConfig) -> dict[str, Series | str]:
     return prepared
 
 
-def _supports(label: str, source: str, target: str) -> bool:
-    return label in (f"{source}->{target}", f"{source}<->{target}", f"{target}<->{source}")
-
-
 def _name_ordered(a: Series, b: Series) -> tuple[Series, Series]:
     """The pair in name order; ValueError for two channels of one name."""
     if a.name == b.name:
@@ -264,17 +260,20 @@ def _with_baselines(
 
 def _stage_one(
     prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig
-) -> list[tuple[PairReport, PairReport, PairTrace | None]]:
+) -> list[tuple[PairReport, PairReport, PairTrace | None, GraphEdge | None]]:
     """Stage 1 of each name-ordered pair (i, j), in the order given: the
-    band test, then TS-SAVR of the shift profile in both orders.
+    band test, TS-SAVR of the shift profile in both orders, then theta.
 
     A pair gives its (i, j) and (j, i) reports, without baseline columns,
-    and its trace.  A pair with a channel that could not be prepared gives
-    two reports carrying that channel's error text (i's first) and None;
-    so does a pair whose band test, shift profile or either TS-SAVR raises
-    a SigAreaError, with the text of the first one raised.
+    its trace, and its graph edge: None when |SSAD| < theta, else (j, i) if
+    the (i, j) verdict leads -1 and (i, j) if not.  Ordering (x, y) gets
+    edge=True when theta is set, |SSAD| >= theta and its verdict leads >= 0.
+    A pair with a channel that could not be prepared gives two reports
+    carrying that channel's error text (i's first), None and None; so does
+    a pair whose band test, shift profile or either TS-SAVR raises a
+    SigAreaError, with the text of the first one raised.
     """
-    outcomes: list[tuple[PairReport, PairReport, PairTrace | None]] = []
+    outcomes: list[tuple[PairReport, PairReport, PairTrace | None, GraphEdge | None]] = []
     for i, j in pairs:
         a, b = prepared[i], prepared[j]
         error = a if isinstance(a, str) else b if isinstance(b, str) else None
@@ -287,11 +286,11 @@ def _stage_one(
                 error = _error_text(exc)
         if error is not None:
             outcomes.append(
-                (PairReport((i, j), error=error), PairReport((j, i), error=error), None)
+                (PairReport((i, j), error=error), PairReport((j, i), error=error), None, None)
             )
             continue
         abs_ssad = abs(fwd.score)
-        passes = config.theta is not None and abs_ssad >= config.theta
+        in_graph = config.theta is None or abs_ssad >= config.theta
         forward, reverse = [
             PairReport(
                 (x, y),
@@ -299,11 +298,13 @@ def _stage_one(
                 abs_ssad=abs_ssad,
                 ts_savr=verdict.ratio,
                 direction=verdict.label,
-                edge=passes and _supports(verdict.label, x, y),
+                edge=in_graph and config.theta is not None and verdict.leads >= 0,
             )
             for (x, y), result, verdict in zip(((i, j), (j, i)), (fwd, rev), verdicts)
         ]
-        outcomes.append((forward, reverse, PairTrace(actual, band)))
+        source, target = (j, i) if verdicts[0].leads < 0 else (i, j)
+        edge = GraphEdge(source, target, verdicts[0].label, abs_ssad) if in_graph else None
+        outcomes.append((forward, reverse, PairTrace(actual, band), edge))
     return outcomes
 
 
@@ -341,7 +342,7 @@ def _process_count(pairs: int, n_shuffles: int, length: int) -> int:
 def _stage_one_in_processes(
     prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig,
     count: int,
-) -> list[tuple[PairReport, PairReport, PairTrace | None]]:
+) -> list[tuple[PairReport, PairReport, PairTrace | None, GraphEdge | None]]:
     """_stage_one over pairs[r::count] in process r: this process for r = 0
     and a spawned executor worker for each other r.  Every pair is seeded
     from its names alone, so the outcomes, put back in pair order, are
@@ -370,8 +371,8 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     optional white-noise control channel is appended and scaled the same
     way.  Unordered pairs are taken in lexicographic name order, so results
     do not depend on column order, and a pair's reports and trace do not
-    depend on the panel's other channels.  Stage 1 (_stage_one: band test
-    and TS-SAVR) runs for every pair first; stage 2 then runs each enabled
+    depend on the panel's other channels.  Stage 1 (_stage_one: band test,
+    TS-SAVR, theta) runs for every pair first; stage 2 then runs each enabled
     baseline over every ordering stage 1 scored.  Stage 1 runs in P
     processes, this one and the P - 1 workers of a ProcessPoolExecutor with
     the spawn start method, each taking every P-th pair, where P is the
@@ -400,20 +401,13 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     count = _process_count(ready * (ready - 1) // 2, config.n_shuffles, panel.length)
     outcomes = _stage_one_in_processes(prepared, pairs, config, count)
 
-    reports: list[PairReport] = []
-    edges: list[GraphEdge] = []
-    traces: dict[tuple[str, str], PairTrace] = {}
-    for (i, j), (fwd, rev, trace) in zip(pairs, outcomes):
-        if trace is not None:
-            traces[(i, j)] = trace
-            if config.theta is None or fwd.abs_ssad >= config.theta:
-                source, target = (j, i) if fwd.direction == f"{j}->{i}" else (i, j)
-                edges.append(GraphEdge(source, target, fwd.direction, fwd.abs_ssad))
-        reports += (fwd, rev)
+    reports = [report for fwd, rev, _, _ in outcomes for report in (fwd, rev)]
+    traces = {p: trace for p, (_, _, trace, _) in zip(pairs, outcomes) if trace is not None}
+    edges = [edge for _, _, _, edge in outcomes if edge is not None]
 
     reports = _with_baselines(reports, prepared, config)
     nodes = tuple(prepared)
-    graph = CausalGraph(nodes, tuple(edges))
+    graph = CausalGraph(nodes, edges)
     return DiscoveryResult(nodes, tuple(reports), graph, traces, config)
 
 

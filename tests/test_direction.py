@@ -167,25 +167,25 @@ def _profile(neg, pos):
 def test_ts_savr_labels_follow_thresholds():
     fwd = ts_savr(_profile([0.0, 2.0, 4.0], [0.0, 1.0, 2.0]))
     assert fwd.ratio == pytest.approx(4.0, abs=1e-15)
-    assert fwd.label == "i->j"
+    assert fwd.label == "i->j" and fwd.leads == 1
 
     rev = ts_savr(_profile([0.0, 1.0, 2.0], [0.0, 2.0, 4.0]))
     assert rev.ratio == pytest.approx(0.25, abs=1e-15)
-    assert rev.label == "j->i"
+    assert rev.label == "j->i" and rev.leads == -1
 
     flat = ts_savr(_profile([0.0, 1.0, 2.0], [5.0, 6.0, 7.0]))
     assert flat.ratio == pytest.approx(1.0, abs=1e-15)
-    assert flat.label == "i<->j"
+    assert flat.label == "i<->j" and flat.leads == 0
 
 
 def test_ts_savr_threshold_boundaries_are_inclusive():
     # Sample variances 11 and 10, then 9 and 10: ratios of exactly 1.1 and 0.9.
     at_high = ts_savr(_profile([-3, -3, -1, 3, 4], [-4, -2, 0, 2, 4]))
     assert at_high.ratio == 1.1
-    assert at_high.label == "i->j"
+    assert at_high.label == "i->j" and at_high.leads == 1
     at_low = ts_savr(_profile([-3, 0, 3], [-4, -2, 0, 2, 4]))
     assert at_low.ratio == 0.9
-    assert at_low.label == "j->i"
+    assert at_low.label == "j->i" and at_low.leads == -1
 
 
 def test_ts_savr_validation():
@@ -233,7 +233,7 @@ def test_white_noise_profile_stays_inside_null_band():
 
 
 def test_verdict_is_immutable():
-    verdict = DirectionVerdict(("a", "b"), 2, "a->b")
+    verdict = DirectionVerdict(("a", "b"), 2)
     assert verdict.ratio == 2.0 and isinstance(verdict.ratio, float)
     with pytest.raises(AttributeError):
         verdict.ratio = 1.0

@@ -5,6 +5,7 @@ contract (0 ok, 1 usage, 2 data) is pinned without spawning a process for
 every case; one smoke test goes through a real interpreter.
 """
 
+import csv
 import json
 import os
 import string
@@ -482,6 +483,22 @@ def test_cli_tssavr_output_format(tmp_path, capsys):
     ratio_text, label = capsys.readouterr().out.split()
     assert float(ratio_text) >= 1.1
     assert label == "X->Y"
+
+
+def test_cli_tssavr_matches_analyze_in_each_ordering(tmp_path, capsys):
+    # An asymmetric shift range gives each ordering its own verdict.
+    path = str(tmp_path / "four.csv")
+    assert cli.main(["generate", "four_species", "--steps", "300", "--out", path]) == 0
+    taus = ["--tau-min", "-3", "--tau-max", "7"]
+    out = str(tmp_path / "run")
+    assert cli.main(["analyze", path, "--out", out, "--n-shuffles", "20", *taus]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "run" / "pairs.csv", newline="") as handle:
+        rows = {(row["i"], row["j"]): row for row in csv.DictReader(handle)}
+    for x, y in (("X", "Y"), ("Y", "X"), ("V", "Z"), ("Z", "V")):
+        assert cli.main(["tssavr", path, "--x", x, "--y", y, *taus]) == 0
+        row = rows[(x, y)]
+        assert capsys.readouterr().out == f"{row['ts_savr']} {row['direction']}\n"
 
 
 def test_cli_baseline_output_format(tmp_path, capsys):

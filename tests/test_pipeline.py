@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sigarea import (
+    GraphEdge,
     InsufficientData,
     NameTaken,
     PairReport,
@@ -128,6 +129,17 @@ def test_theta_turns_ranking_into_edges():
     miss = discover(panel, RunConfig(n_shuffles=200, theta=0.99))
     assert miss.graph.edges == ()
     assert all(not r.edge for r in miss.reports)
+
+
+@pytest.mark.parametrize("theta, flags", [(0.5, [True, False]), (None, [False, False])])
+def test_edge_direction_comes_from_the_ratio_not_the_label(theta, flags):
+    # Named a and a->a, both one-way labels read "a->a->a", so the label
+    # alone cannot tell which channel leads.
+    x, y = gen_two_species_sync(600).series
+    panel = Panel((Series("a", x.values), Series("a->a", y.values)))
+    result = discover(panel, RunConfig(n_shuffles=200, theta=theta))
+    assert result.graph.edges == (GraphEdge("a", "a->a", "a->a->a", 0.6666666666666666),)
+    assert [_report(result, pair).edge for pair in (("a", "a->a"), ("a->a", "a"))] == flags
 
 
 def test_failing_pair_is_isolated():
