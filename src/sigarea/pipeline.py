@@ -6,16 +6,18 @@ variance-ratio test in both orders, then reports each ordered pair.  On a
 large enough input that first stage is shared with the workers of one
 spawn ProcessPoolExecutor, one process per usable CPU; every pair is
 seeded from its names alone, so the output bytes do not depend on how many
-processes ran it.  The optional baselines run afterwards in the calling
-process, each over all pairs in one burst of one call per channel.  |SSAD|
-is the confidence of a lag/lead link; by default no threshold is applied
-and the output is read as a ranking.  Optional extras: a scaled white-noise
-control channel, and lagged-regression / cross-mapping baseline columns.
+processes ran it.  Within a pair, nulltest.null_ensemble shuffles series
+of 4096 samples or more on one thread per usable CPU, in whichever
+process scores the pair.  The optional baselines run afterwards in the
+calling process, each over all pairs in one burst of one call per
+channel.  |SSAD| is the confidence of a lag/lead link; by default no
+threshold is applied and the output is read as a ranking.  Optional
+extras: a scaled white-noise control channel, and lagged-regression /
+cross-mapping baseline columns.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 from types import MappingProxyType
@@ -24,7 +26,7 @@ from typing import Mapping
 from .baselines import ccm_many, granger_many
 from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
-from .nulltest import NullBand, SsadResult, multiplier, ssad_pair_detail
+from .nulltest import NullBand, SsadResult, _usable_cpus, multiplier, ssad_pair_detail
 from .rng import derive_seed
 from .series import Panel, Series, difference, scale_unit_range
 from .signature import AreaSequence
@@ -318,13 +320,6 @@ def _stage_one(
 _SHARE_SAMPLES = 20_000_000
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _process_count(pairs: int, n_shuffles: int, length: int) -> int:
     """How many processes stage 1 runs in: at most one per usable CPU and
     per pair, each with a share of at least _SHARE_SAMPLES shuffled samples,
@@ -379,7 +374,9 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     smallest of the usable CPUs, the pairs to score, and pairs x n_shuffles
     x T over _SHARE_SAMPLES (2e7) rounded down; P = 1 (one CPU, one pair, no
     pair of prepared channels, a smaller input, or a daemonic caller) runs
-    it inline.  Every result, trace arrays included, is the same for any P.
+    it inline.  Each pair's null ensemble runs on threads in its process
+    once T >= 4096 (see nulltest.null_ensemble).  Every result, trace
+    arrays included, is the same for any P and any thread count.
     With P > 1 a calling script must guard its entry point with
     ``if __name__ == "__main__":``, as spawned processes import the main
     module.  An exception in a worker's share is raised here with its own

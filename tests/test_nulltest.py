@@ -7,6 +7,8 @@ recomputation that shares no code with the implementation.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -29,7 +31,8 @@ from sigarea import (
     ssad,
     ssad_pair_detail,
 )
-from sigarea.nulltest import _BLOCK_VALUES
+from sigarea import nulltest
+from sigarea.nulltest import _BLOCK_VALUES, _THREAD_MIN_LENGTH
 from sigarea.rng import derive_seed, permutation
 
 M1_FROZEN = 4.017687416608669
@@ -177,11 +180,7 @@ def test_null_ensemble_rows_match_documented_composition_across_block_edges(
     _assert_rows_match_documented_composition(t_len, n_shuffles, 10, 10)
 
 
-def test_null_ensemble_memory_is_bounded_by_output_and_rows():
-    # Beyond its n x W result, null_ensemble holds two length-T shuffle
-    # buffers and the temporaries of one row's areas; the whole shuffled
-    # ensemble (2 N T values, 64 MB here) is never materialised.
-    t_len, n_shuffles = 20000, 200
+def _ensemble_peak(t_len, n_shuffles):
     a = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 0)))
     b = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 1)))
     tracemalloc.start()
@@ -190,8 +189,87 @@ def test_null_ensemble_memory_is_bounded_by_output_and_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.shape == (n_shuffles, 2000)
+    assert ens.shape == (n_shuffles, t_len // 10)
+    return ens, peak
+
+
+def test_null_ensemble_memory_is_bounded_by_output_and_rows(monkeypatch):
+    # Beyond its n x W result, null_ensemble holds two length-T shuffle
+    # buffers and the temporaries of one row's areas; the whole shuffled
+    # ensemble (2 N T values, 64 MB here) is never materialised.  One
+    # thread, so one pair of buffers.
+    monkeypatch.setattr(nulltest, "_usable_cpus", lambda: 1)
+    t_len = 20000
+    ens, peak = _ensemble_peak(t_len, 200)
     assert peak <= 2 * (ens.size + 2 * t_len) * 8
+
+
+def test_null_ensemble_memory_grows_by_one_pair_of_rows_per_thread(monkeypatch):
+    # Each of the three shares holds its own two length-T buffers.
+    monkeypatch.setattr(nulltest, "_usable_cpus", lambda: 3)
+    t_len = 20000
+    ens, peak = _ensemble_peak(t_len, 200)
+    assert peak <= 2 * (ens.size + 3 * 2 * t_len) * 8
+
+
+def _white_pair(t_len):
+    a = scale_unit_range(gen_white_noise(t_len, derive_seed(8, 0), "A"))
+    b = scale_unit_range(gen_white_noise(t_len, derive_seed(8, 1), "B"))
+    return a, b
+
+
+@pytest.mark.parametrize("t_len", [_THREAD_MIN_LENGTH, 5000, _BLOCK_VALUES + 7])
+@pytest.mark.parametrize("n_shuffles", [2, 7, 120])
+def test_null_ensemble_bits_do_not_depend_on_thread_count(monkeypatch, t_len, n_shuffles):
+    # Blocks hold up to 8 rows here, so at N = 2 and 7 there are fewer
+    # blocks than threads at every T but the longest.  A short switch
+    # interval interleaves the threads' writes into the shared result.
+    a, b = _white_pair(t_len)
+    ensembles = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3, 5):
+            monkeypatch.setattr(nulltest, "_usable_cpus", lambda: threads)
+            ensembles.append(null_ensemble(a, b, 10, n_shuffles, seed=2, stride=10))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(ens.flags.f_contiguous for ens in ensembles)
+    assert len({ens.tobytes() for ens in ensembles}) == 1
+
+
+def test_null_ensemble_threads_only_from_the_minimum_length(monkeypatch):
+    import concurrent.futures
+
+    built = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nulltest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    null_ensemble(*_white_pair(_THREAD_MIN_LENGTH - 1), 10, 20, seed=0, stride=10)
+    assert built == []
+    null_ensemble(*_white_pair(_THREAD_MIN_LENGTH), 10, 20, seed=0, stride=10)
+    assert built == [(1,)]
+
+
+class _FailingOffMainThread(nulltest.Shuffler):
+    def shuffle_into(self, out, values, seed):
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("share failed")
+        super().shuffle_into(out, values, seed)
+
+
+def test_a_failing_thread_share_raises_its_error_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(nulltest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(nulltest, "Shuffler", _FailingOffMainThread)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="share failed"):
+        null_ensemble(*_white_pair(_THREAD_MIN_LENGTH), 10, 200, seed=0, stride=10)
+    assert threading.active_count() == before
 
 
 def test_null_ensemble_needs_two_rows():

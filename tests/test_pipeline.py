@@ -24,7 +24,7 @@ from sigarea import (
     rank_pairs,
     window_count,
 )
-from sigarea import pipeline
+from sigarea import nulltest, pipeline
 from sigarea.rng import derive_seed
 
 
@@ -498,6 +498,18 @@ def test_stage_one_in_worker_processes_equals_the_inline_run(tmp_path, monkeypat
     assert written[0] == written[1] and len(written[0]) == 2 + len(inline.traces)
 
 
+def test_a_long_pair_on_threads_equals_the_one_thread_run(monkeypatch):
+    # T = 5000 puts each pair's null ensemble on threads; one pair keeps
+    # stage 1 in this process.
+    panel = gen_two_species_sync(5000)
+    config = RunConfig(n_shuffles=100)
+    runs = []
+    for threads in (1, 3):
+        monkeypatch.setattr(nulltest, "_usable_cpus", lambda: threads)
+        runs.append(discover(panel, config))
+    _assert_same_result(runs[1], runs[0])
+
+
 def test_trace_arrays_from_worker_processes_are_read_only(monkeypatch):
     _force_processes(monkeypatch, 3)
     result = discover(_mixed_panel(), _MIXED_CONFIG)
@@ -607,8 +619,9 @@ def test_process_count_follows_the_input(monkeypatch):
 
 
 def test_an_inline_run_does_not_import_multiprocessing():
-    # Importing multiprocessing costs start-up time that the small runs,
-    # which never start a worker, should not pay.
+    # Importing multiprocessing or concurrent.futures costs start-up time
+    # that the small runs, which start no worker process and no thread,
+    # should not pay.
     import os
     import subprocess
     import sys
@@ -619,7 +632,7 @@ def test_an_inline_run_does_not_import_multiprocessing():
         "import sys\n"
         "from sigarea import RunConfig, discover, gen_four_species\n"
         "discover(gen_four_species(1000), RunConfig(add_noise_channel=True))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
     )
     package_root = os.path.dirname(os.path.dirname(sigarea.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
