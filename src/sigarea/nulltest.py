@@ -37,8 +37,9 @@ from .signature import (
     window_count,
 )
 
-# Values per shuffle block buffer: 2**15 float64 values (256 KB) keep a
-# block's area temporaries cache-sized; rows per block = this // T.
+# Values per block: 2**15 float64 values (256 KB) keep a block's
+# temporaries cache-sized.  null_ensemble shuffles this // T rows per block
+# and confidence_band centers and reduces this // n columns per block.
 _BLOCK_VALUES = 2**15
 
 # null_ensemble shares its row blocks out to threads only from this series
@@ -229,8 +230,17 @@ def confidence_band(
     algebraically the running mean/std of windows 1..t but keeps the
     subtraction well conditioned.
 
-    The sums run in the memory order of a Fortran-ordered copy of the input,
-    so C- and Fortran-ordered ensembles with equal values give equal bits.
+    The grand mean m0 is one numpy mean over the whole Fortran-ordered
+    ensemble.  The centered values are then built and reduced in blocks of
+    max(1, _BLOCK_VALUES // n) columns: each column of a block is the same
+    contiguous run of n values that numpy would reduce in the whole
+    matrix, so every column sum, and the band, has the bits of the
+    one-pass formula.  Beyond its input the band holds one block and
+    O(W) arrays: O(W + max(n, _BLOCK_VALUES)) values, never an n x W
+    temporary.  A Fortran-ordered input (null_ensemble's result) is read in
+    place; any other input is first copied into Fortran order, one n x W
+    copy, so C- and Fortran-ordered ensembles with equal values give equal
+    bits.
     """
     ens = np.asarray(ensemble, dtype=np.float64, order="F")
     if ens.ndim != 2 or ens.size == 0:
@@ -240,9 +250,16 @@ def confidence_band(
         raise InsufficientData("need at least 2 shuffles for a band")
     t = np.arange(1, w + 1)
     m0 = ens.mean()
-    centered = ens - m0
-    s1 = np.cumsum(centered.sum(axis=0))
-    s2 = np.cumsum((centered * centered).sum(axis=0))
+    s1 = np.empty(w)
+    s2 = np.empty(w)
+    step = max(1, _BLOCK_VALUES // n)
+    for j in range(0, w, step):
+        centered = ens[:, j : j + step] - m0
+        s1[j : j + step] = centered.sum(axis=0)
+        centered *= centered
+        s2[j : j + step] = centered.sum(axis=0)
+    s1 = np.cumsum(s1)
+    s2 = np.cumsum(s2)
     count = n * t
     mu = m0 + s1 / count
     var = np.maximum((s2 - s1 * s1 / count) / (count - 1), 0.0)

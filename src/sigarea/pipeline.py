@@ -23,13 +23,15 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .baselines import ccm_many, granger_many
 from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
 from .nulltest import NullBand, SsadResult, _usable_cpus, multiplier, ssad_pair_detail
 from .rng import derive_seed
 from .series import Panel, Series, difference, scale_unit_range
-from .signature import AreaSequence
+from .signature import AreaSequence, window_count
 from .synth import gen_white_noise
 
 
@@ -45,7 +47,8 @@ class RunConfig:
     interpolation onto a uniform grid happens at CSV load time, not here.
     pooled must stay True, as the band always pools windows 1..t; the field
     remains only because report.json records it.  rho and alpha are checked
-    by nulltest.multiplier at t = 1, the one copy of their rule.
+    by nulltest.multiplier at t = 1, the one copy of their rule; discover
+    checks them again at every window of its input.
     """
 
     window_length: int = 10
@@ -387,11 +390,17 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     baselines; other pairs are unaffected.  A pair whose only failure is an
     optional baseline keeps its scores, edge and trace, with that baseline's
     column empty and its error message set.  Fewer than 2 channels raise
-    InsufficientData.
+    InsufficientData.  A rho and alpha whose band multiplier is not finite
+    and positive at some window of the input (a huge rho overflows t rho^2
+    at late windows only) raise ValueError before any channel is prepared.
     """
     config = config or RunConfig()
     if len(panel.series) < 2:
         raise InsufficientData("need at least 2 channels to form pairs")
+    t_len = panel.length - config.difference_order
+    if t_len >= config.window_length:
+        windows = window_count(t_len, config.window_length, config.effective_stride)
+        multiplier(np.arange(1, windows + 1), config.rho, config.alpha)
     prepared = _prepare(panel, config)
     pairs = list(combinations(sorted(prepared), 2))
     ready = sum(not isinstance(s, str) for s in prepared.values())

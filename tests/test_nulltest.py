@@ -118,6 +118,75 @@ def test_confidence_band_ignores_memory_layout(t_len):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _one_pass_band(ensemble, rho=1.0, alpha=0.05):
+    # The band as one pass over the whole matrix, two n x W temporaries
+    # and all: the reference that the column blocks must match bit for bit.
+    ens = np.asarray(ensemble, dtype=np.float64, order="F")
+    n, w = ens.shape
+    t = np.arange(1, w + 1)
+    m0 = ens.mean()
+    centered = ens - m0
+    s1 = np.cumsum(centered.sum(axis=0))
+    s2 = np.cumsum((centered * centered).sum(axis=0))
+    count = n * t
+    mu = m0 + s1 / count
+    sigma = np.sqrt(np.maximum((s2 - s1 * s1 / count) / (count - 1), 0.0))
+    m = multiplier(t, rho, alpha)
+    return NullBand(mu - sigma * m, mu + sigma * m, mu, sigma)
+
+
+# Every n with every w up to about 10^6 values: n = 1000 takes 32 columns
+# per block (so w = 31, 32, 33 and 1025 end a block short, exact and one
+# over) and n = 2^15 + 1 one column per block.
+_BAND_SHAPES = [
+    (n, w)
+    for n in (2, 3, 1000, _BLOCK_VALUES + 1)
+    for w in (1, 5, 31, 32, 33, 1025, 9991)
+    if n * w <= 1_100_000
+]
+
+
+@pytest.mark.parametrize("n, w", _BAND_SHAPES)
+def test_confidence_band_blocks_keep_the_one_pass_bits(n, w):
+    rng = np.random.default_rng(derive_seed(12, n, w))
+    values = rng.normal(loc=7.3, scale=0.01, size=(n, w))
+    for ens in (values, np.full((n, w), -2.6)):
+        want = _one_pass_band(ens)
+        for layout in (np.ascontiguousarray(ens), np.asfortranarray(ens)):
+            got = confidence_band(layout)
+            for name in ("lower", "upper", "mu", "sigma"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(confidence_band(np.full((n, w), -2.6)).sigma, np.zeros(w))
+
+
+def test_confidence_band_memory_is_one_block_beyond_its_input():
+    # An F-ordered ensemble is read in place: beyond it the band holds one
+    # block of centered values and O(W) arrays (1.25 MB measured here),
+    # where one pass over the whole matrix held two 80 MB copies.
+    n, w = 1000, 10**4
+    ens = np.asfortranarray(np.random.default_rng(4).normal(3.0, 1.0, size=(n, w)))
+    band, peak = _traced_peak(lambda: confidence_band(ens))
+    assert len(band) == w
+    assert peak <= (20 * w + 2 * _BLOCK_VALUES) * 8
+
+
+def test_ssad_pair_detail_memory_is_one_ensemble_and_buffers(monkeypatch):
+    # At stride 1 the ensemble (200 x 19991) dwarfs the rest: a pair holds
+    # it, one pair of shuffle rows, one band block and O(T + W) arrays.
+    monkeypatch.setattr(nulltest, "_usable_cpus", lambda: 1)
+    t_len, n_shuffles, window = 20000, 200, 10
+    a = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 0), "A"))
+    b = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 1), "B"))
+    (_, _, actual, _), peak = _traced_peak(
+        lambda: ssad_pair_detail(
+            a, b, window_length=window, n_shuffles=n_shuffles, seed=3, stride=1
+        )
+    )
+    w = actual.count
+    assert w == t_len - window + 1
+    assert peak <= (n_shuffles * w + 16 * (t_len + w) + 2 * _BLOCK_VALUES) * 8
+
+
 def test_confidence_band_insufficient_data():
     with pytest.raises(InsufficientData):
         confidence_band(np.ones((1, 5)))
@@ -180,15 +249,20 @@ def test_null_ensemble_rows_match_documented_composition_across_block_edges(
     _assert_rows_match_documented_composition(t_len, n_shuffles, 10, 10)
 
 
-def _ensemble_peak(t_len, n_shuffles):
-    a = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 0)))
-    b = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 1)))
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        ens = null_ensemble(a, b, 10, n_shuffles, seed=3, stride=10)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def _ensemble_peak(t_len, n_shuffles):
+    a = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 0)))
+    b = scale_unit_range(gen_white_noise(t_len, derive_seed(6, 1)))
+    ens, peak = _traced_peak(lambda: null_ensemble(a, b, 10, n_shuffles, seed=3, stride=10))
     assert ens.shape == (n_shuffles, t_len // 10)
     return ens, peak
 

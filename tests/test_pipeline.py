@@ -74,6 +74,27 @@ def test_run_config_validation(kwargs):
         RunConfig(**kwargs)
 
 
+def test_discover_checks_rho_at_every_window_before_any_pair(monkeypatch):
+    # m(1) is finite at rho = 1e153, so RunConfig accepts it, but m is not
+    # from window 14 on; the run has 150 windows.  With T below the window
+    # length there are no windows to check, and each pair fails on its own.
+    calls = []
+    band_test = pipeline.pair_band_test
+
+    def spy(*args):
+        calls.append(args)
+        return band_test(*args)
+
+    monkeypatch.setattr(pipeline, "pair_band_test", spy)
+    config = RunConfig(rho=1e153, n_shuffles=20, window_length=2)
+    with pytest.raises(ValueError, match="non-finite or zero band multiplier"):
+        discover(gen_four_species(300), config)
+    assert calls == []
+    result = discover(gen_four_species(300), replace(config, window_length=301))
+    assert len(calls) == 6
+    assert all(r.error.startswith("WindowTooLong") for r in result.reports)
+
+
 def test_discover_needs_two_channels():
     single = Panel((gen_white_noise(50, derive_seed(14, 0), name="A"),))
     with pytest.raises(InsufficientData):
