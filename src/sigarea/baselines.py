@@ -8,7 +8,12 @@ delay embedding, nearest-neighbor weighting, and skill scoring directly.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -112,6 +117,68 @@ def _ssr(design: np.ndarray, target: np.ndarray) -> tuple[float, int]:
     return float(resid @ resid), int(rank)
 
 
+def _locate_blas_setters() -> tuple:
+    """openblas_set_num_threads_local of every OpenBLAS this process has
+    already loaded; empty off Linux, under another BLAS, or where the
+    symbol is missing (OpenBLAS before 0.3.27).  RTLD_NOLOAD opens only a
+    library that is already mapped, so no second copy is ever loaded."""
+    if not sys.platform.startswith("linux"):
+        return ()
+    try:
+        with open("/proc/self/maps") as maps:
+            # The path is the sixth field, and may hold spaces.
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+# Resolved on the first lag loop, not at import, so import time stays put.
+_blas_setters: tuple | None = None
+_BLAS_SCOPE_LOCK = threading.Lock()
+
+
+def _blas_thread_setters() -> tuple:
+    # Two threads racing here both look up the same libraries; one result wins.
+    global _blas_setters
+    if _blas_setters is None:
+        _blas_setters = _locate_blas_setters()
+    return _blas_setters
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS found set to one thread, and give
+    each back the count it had on the way out, on an exception too.
+
+    Despite its name, openblas_set_num_threads_local sets the count of the
+    whole process in OpenBLAS's pthreads builds, numpy's wheels among them
+    (a count set on one thread reads back on another), so scopes on several
+    threads take turns: overlapping ones would restore out of order.  With
+    no setter found the body runs as it is, on the BLAS's own settings.
+    """
+    setters = _blas_thread_setters()
+    if not setters:
+        yield
+        return
+    with _BLAS_SCOPE_LOCK:
+        previous = [set_threads(1) for set_threads in setters]
+        try:
+            yield
+        finally:
+            for set_threads, count in zip(setters, previous):
+                set_threads(count)
+
+
 def granger_many(
     x: Series, ys: Sequence[Series], tau_max: int = 10
 ) -> list[GrangerResult]:
@@ -133,6 +200,14 @@ def granger_many(
     only affects an unrestricted model (a constant driver, say) is resolved
     by the minimum-norm solution, since a perfectly predictable target is
     signal, not an error.
+
+    The lag loop runs on one BLAS thread (_one_blas_thread).  The designs
+    are tall and skinny, T_eff x (2 tau + 1), and threaded OpenBLAS is not
+    faster on them: it wakes a worker for each matrix-vector step inside
+    the least-squares solver, and the worker then spins idle after the
+    last fit.  OpenBLAS splits those steps over output rows or columns,
+    not over the summed index, so every p-value has the bits the threaded
+    path gives.
     """
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
@@ -144,25 +219,26 @@ def granger_many(
             f"need more than {3 * tau_max + 1} samples for tau_max={tau_max}"
         )
     per_lag: list[dict[int, float]] = [{} for _ in ys]
-    for tau in range(1, tau_max + 1):
-        target = x.values[tau:]
-        n_rows = target.size
-        ones = np.ones((n_rows, 1))
-        own = _lag_matrix(x.values, tau)
-        ssr_r, rank_r = _ssr(np.hstack([ones, own]), target)
-        if rank_r < tau + 1:
-            raise SingularDesign(
-                f"restricted design is rank-deficient at lag {tau}"
-            )
-        df2 = n_rows - 2 * tau - 1
-        for y, p_values in zip(ys, per_lag):
-            other = _lag_matrix(y.values, tau)
-            ssr_u, _ = _ssr(np.hstack([ones, own, other]), target)
-            if ssr_u == 0.0:
-                p_values[tau] = 0.0
-                continue
-            f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
-            p_values[tau] = f_upper_tail(f_stat, tau, df2)
+    with _one_blas_thread():
+        for tau in range(1, tau_max + 1):
+            target = x.values[tau:]
+            n_rows = target.size
+            ones = np.ones((n_rows, 1))
+            own = _lag_matrix(x.values, tau)
+            ssr_r, rank_r = _ssr(np.hstack([ones, own]), target)
+            if rank_r < tau + 1:
+                raise SingularDesign(
+                    f"restricted design is rank-deficient at lag {tau}"
+                )
+            df2 = n_rows - 2 * tau - 1
+            for y, p_values in zip(ys, per_lag):
+                other = _lag_matrix(y.values, tau)
+                ssr_u, _ = _ssr(np.hstack([ones, own, other]), target)
+                if ssr_u == 0.0:
+                    p_values[tau] = 0.0
+                    continue
+                f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
+                p_values[tau] = f_upper_tail(f_stat, tau, df2)
     results = []
     for y, p_values in zip(ys, per_lag):
         min_p = min(p_values.values())

@@ -35,7 +35,14 @@ from . import io as sio
 from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
 from .errors import SigAreaError
-from .pipeline import RunConfig, _name_ordered, discover, pair_band_test, prepare_channel
+from .pipeline import (
+    RunConfig,
+    _check_every_window,
+    _name_ordered,
+    discover,
+    pair_band_test,
+    prepare_channel,
+)
 from .synth import BIDIR_TAUS, SYSTEMS, SystemSpec, generate
 
 
@@ -174,6 +181,7 @@ def _channel_pair(args: argparse.Namespace, prepared: bool = True):
 def _ssad(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     x, y = _channel_pair(args)
+    _check_every_window(len(x), config)
     forward, reverse, _, _ = pair_band_test(x, y, config)
     print(sio.format_float((reverse if y.name < x.name else forward).score))
     return 0

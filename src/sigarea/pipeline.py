@@ -196,6 +196,18 @@ def _name_ordered(a: Series, b: Series) -> tuple[Series, Series]:
     return (a, b) if a.name < b.name else (b, a)
 
 
+def _check_every_window(t_len: int, config: RunConfig) -> None:
+    """ValueError unless config's rho and alpha give a finite, positive band
+    multiplier at every window of a prepared series of t_len samples.  A
+    huge rho passes RunConfig's check at t = 1 and overflows only at later
+    windows, which the band test would find after the whole ensemble is
+    shuffled.  Below one window there is nothing to check: each pair then
+    fails on its own with WindowTooLong."""
+    if t_len >= config.window_length:
+        windows = window_count(t_len, config.window_length, config.effective_stride)
+        multiplier(np.arange(1, windows + 1), config.rho, config.alpha)
+
+
 def pair_band_test(
     a: Series, b: Series, config: RunConfig
 ) -> tuple[SsadResult, SsadResult, AreaSequence, NullBand]:
@@ -231,8 +243,8 @@ def _with_baselines(
     the target of the lagged regressions granger(y, x), whose restricted
     fits granger_many makes once per lag, and the shadow manifold of the
     cross mapping ccm(x, y), whose neighbour search ccm_many makes once.
-    Every Granger group runs back to back, then every CCM group, so the BLAS
-    worker threads spin once after the burst rather than once per pair.  A
+    Every Granger group runs back to back, then every CCM group; granger_many
+    fits on one BLAS thread, so its regressions wake no BLAS worker.  A
     failing group leaves only its own column None and puts its error text on
     each of its orderings' reports (Granger's, when both fail); the error
     depends only on y and the length, so it is the text each would get alone.
@@ -397,10 +409,7 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     config = config or RunConfig()
     if len(panel.series) < 2:
         raise InsufficientData("need at least 2 channels to form pairs")
-    t_len = panel.length - config.difference_order
-    if t_len >= config.window_length:
-        windows = window_count(t_len, config.window_length, config.effective_stride)
-        multiplier(np.arange(1, windows + 1), config.rho, config.alpha)
+    _check_every_window(panel.length - config.difference_order, config)
     prepared = _prepare(panel, config)
     pairs = list(combinations(sorted(prepared), 2))
     ready = sum(not isinstance(s, str) for s in prepared.values())

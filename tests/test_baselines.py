@@ -7,6 +7,7 @@ table itself cannot go stale.
 
 import itertools
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from sigarea import baselines
 from sigarea import (
     DegenerateEmbedding,
     LengthMismatch,
+    RunConfig,
     SingularDesign,
     TooShort,
     ccm,
     ccm_many,
     default_library_sizes,
+    discover,
     f_upper_tail,
     gen_four_species,
+    gen_two_species_bidir,
     gen_two_species_sync,
     gen_white_noise,
     granger,
@@ -272,6 +276,124 @@ def test_granger_many_errors_follow_the_target_not_the_drivers():
     assert str(caught.value) == "restricted design is rank-deficient at lag 1"
     with pytest.raises(LengthMismatch, match="series must have equal length"):
         granger_many(noise, [other, gen_white_noise(99, derive_seed(8, 3))])
+
+
+def _blas_count(setter):
+    """The thread count a setter holds, left as it was."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@contextmanager
+def _blas_threads(setters, count):
+    """Every setter at count for the body, then back at what it held."""
+    previous = [setter(count) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, held in zip(setters, previous):
+            setter(held)
+
+
+def _granger_inputs(name):
+    if name == "four_species":
+        return [scale_unit_range(s) for s in gen_four_species(1000).series]
+    return [scale_unit_range(s) for s in gen_two_species_bidir(3000, 0).series]
+
+
+@pytest.mark.parametrize("tau_max", [1, 10])
+@pytest.mark.parametrize("inputs", ["four_species", "bidir_3000"])
+def test_granger_many_on_one_blas_thread_keeps_the_threaded_bits(
+    monkeypatch, inputs, tau_max
+):
+    chans = _granger_inputs(inputs)
+    setters = baselines._blas_thread_setters()
+
+    def every_target():
+        return [
+            granger_many(target, [c for c in chans if c is not target], tau_max)
+            for target in chans
+        ]
+
+    scoped = every_target()
+    # A lookup that finds nothing leaves the BLAS on its own threads; with a
+    # setter at hand, 2 of them make the fits split over threads on any runner.
+    monkeypatch.setattr(baselines, "_blas_setters", None)
+    monkeypatch.setattr(baselines, "_locate_blas_setters", lambda: ())
+    with _blas_threads(setters, 2):
+        threaded = every_target()
+    assert baselines._blas_setters == ()
+    for got, want in zip(scoped, threaded):
+        for one, other in zip(got, want):
+            assert list(one.per_lag_p.items()) == list(other.per_lag_p.items())
+            assert one == other
+
+
+def test_granger_many_restores_the_blas_thread_count(monkeypatch):
+    setters = baselines._blas_thread_setters()
+    if not setters:
+        pytest.skip(
+            "no loaded OpenBLAS exports openblas_set_num_threads_local, "
+            "so granger_many has no thread count to set or restore"
+        )
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        seen.append([_blas_count(setter) for setter in setters])
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    noise = gen_white_noise(200, derive_seed(8, "blas", 0), "u")
+    other = gen_white_noise(200, derive_seed(8, "blas", 1), "v")
+    with _blas_threads(setters, 3):
+        granger_many(noise, [other], tau_max=3)
+        assert len(seen) == 6
+        assert [_blas_count(setter) for setter in setters] == [3] * len(setters)
+        with pytest.raises(SingularDesign):
+            granger_many(Series("flat", np.full(200, 0.7)), [noise], tau_max=3)
+        assert len(seen) == 7
+        assert [_blas_count(setter) for setter in setters] == [3] * len(setters)
+    assert seen == [[1] * len(setters)] * 7
+
+
+def test_blas_setters_are_looked_up_once_and_not_at_import(monkeypatch):
+    # The lookup reads /proc/self/maps and opens libraries; import time
+    # must not pay for it, and a run that fits no regression never does.
+    import os
+    import subprocess
+    import sys
+
+    import sigarea
+
+    script = (
+        "import sigarea, sigarea.cli\n"
+        "from sigarea import baselines\n"
+        "print(baselines._blas_setters)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(sigarea.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
+
+    calls = []
+    locate = baselines._locate_blas_setters
+
+    def spy():
+        calls.append(1)
+        return locate()
+
+    monkeypatch.setattr(baselines, "_blas_setters", None)
+    monkeypatch.setattr(baselines, "_locate_blas_setters", spy)
+    config = RunConfig(n_shuffles=20, run_granger=True)
+    for _ in range(2):
+        result = discover(gen_four_species(300), config)
+        assert all(r.granger_min_p is not None for r in result.reports)
+    assert calls == [1]
 
 
 def test_ccm_skill_high_and_converging_for_forced_pair(sync_pair):

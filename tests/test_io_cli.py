@@ -37,7 +37,7 @@ from sigarea import (
 )
 from sigarea.io import _safe_name, format_float
 from sigarea.rng import derive_seed
-from sigarea import cli
+from sigarea import cli, nulltest
 
 
 def test_format_float_round_trips_exactly():
@@ -376,6 +376,27 @@ def test_cli_ssad_matches_discover(tmp_path, capsys):
     for report in result.reports:
         assert printed[report.pair] == format_float(report.ssad)
     assert float(printed[("Y", "X")]) == -float(printed[("X", "Y")])
+
+
+def test_cli_ssad_checks_rho_at_every_window_before_shuffling(tmp_path, capsys, monkeypatch):
+    # m(1) is finite at rho = 1e153, so RunConfig accepts it, but m is not
+    # from window 14 on; the pair has 991 windows at stride 1.
+    calls = []
+    ensemble = nulltest.null_ensemble
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(nulltest, "null_ensemble", spy)
+    csv_path = _sync_csv(tmp_path, steps=1000)
+    capsys.readouterr()
+    pair = ["ssad", csv_path, "--x", "X", "--y", "Y", "--stride", "1", "--n-shuffles", "20"]
+    assert cli.main([*pair, "--rho", "1e153"]) == 1
+    assert "non-finite or zero band multiplier" in capsys.readouterr().err
+    assert calls == []
+    assert cli.main(pair) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("flags", [["--window-length", "2"], ["--window-length", "4", "--stride", "1"]])
