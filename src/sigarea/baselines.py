@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateEmbedding, LengthMismatch, SingularDesign, TooShort
-from .series import Series
+from .series import Series, _reduce_through_init
 
 _CF_MAX_ITER = 400
 _CF_EPS = 3e-16
@@ -96,6 +96,8 @@ class GrangerResult:
     per_lag_p: Mapping[int, float]
     min_p: float
     significant: bool
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))
@@ -265,6 +267,8 @@ class CcmResult:
     library_sizes: tuple[int, ...]
     skill: Mapping[int, float]
     max_r2: float
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InsufficientData, ShiftTooLarge, ZeroVariance
-from .series import Series, check_lengths, shift_slices
+from .series import Series, _reduce_through_init, check_lengths
 from .signature import _whole_area
 
 
@@ -37,6 +37,8 @@ class ShiftProfile:
     pair: tuple[str, str]
     taus: tuple[int, ...]
     areas: Mapping[int, float]
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         taus = tuple(int(t) for t in self.taus)
@@ -106,13 +108,24 @@ def _check_sides(taus: tuple[int, ...], error: type[Exception]) -> None:
         raise error("variance ratio needs at least 2 shifts on each side of zero")
 
 
+def _shift_slices(t_len: int, tau: int) -> tuple[slice, slice]:
+    """The slices of a and of b that pair a[t + tau] with b[t] on their
+    common overlap of t_len - |tau| samples; ShiftTooLarge when there is none."""
+    if abs(tau) >= t_len:
+        raise ShiftTooLarge(f"|tau| = {abs(tau)} leaves no overlap at length {t_len}")
+    if tau >= 0:
+        return slice(tau, None), slice(0, t_len - tau)
+    return slice(0, t_len + tau), slice(-tau, None)
+
+
 def shift_profile(
     a: Series, b: Series, tau_min: int = -10, tau_max: int = 10
 ) -> ShiftProfile:
     """Signed areas of the pair across integer shifts of ``a``.
 
-    For each tau in [tau_min, tau_max] except 0, the whole overlap that
-    time_shift_pair aligns is one window, with the bits of pair_area on it.
+    For each tau in [tau_min, tau_max] except 0, a[t + tau] is paired with
+    b[t] on their whole overlap, and that overlap is one window: its area
+    has the bits of signed_area on the path (b[t], a[t + tau]).
     The truncated series are not re-scaled, so areas stay comparable
     across shifts.  A shift with |tau| >= T - 1 leaves under two samples
     to trace a path through and raises ShiftTooLarge.  The mirror shifts
@@ -123,7 +136,7 @@ def shift_profile(
     check_lengths(a, b)
     areas: dict[int, float] = {}
     for tau in taus + tuple(-t for t in taus if -t not in taus):
-        head, tail = shift_slices(len(a), tau)
+        head, tail = _shift_slices(len(a), tau)
         if len(a) - abs(tau) < 2:
             raise ShiftTooLarge(
                 f"|tau| = {abs(tau)} leaves a one-sample overlap at length {len(a)}"

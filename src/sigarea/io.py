@@ -219,7 +219,9 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
 
     written: list[str] = []
     document = {
-        "config": dataclasses.asdict(result.config),
+        # The band always pools; the key stays until the report digests are
+        # next re-recorded, so report.json keeps its bytes.
+        "config": {**dataclasses.asdict(result.config), "pooled": True},
         "nodes": list(result.nodes),
         "pairs": [
             {k: v for k, v in _pair_record(r).items()

@@ -30,8 +30,8 @@ from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
 from .nulltest import NullBand, SsadResult, _usable_cpus, multiplier, ssad_pair_detail
 from .rng import derive_seed
-from .series import Panel, Series, difference, scale_unit_range
-from .signature import AreaSequence, window_count
+from .series import Panel, Series, _reduce_through_init, difference, scale_unit_range
+from .signature import _MIN_WINDOW_LENGTH, AreaSequence, window_count
 from .synth import gen_white_noise
 
 
@@ -45,10 +45,10 @@ class RunConfig:
     rank mode: no hard edge threshold, every pair lands in the graph with
     its confidence.  difference_order is applied before scaling;
     interpolation onto a uniform grid happens at CSV load time, not here.
-    pooled must stay True, as the band always pools windows 1..t; the field
-    remains only because report.json records it.  rho and alpha are checked
-    by nulltest.multiplier at t = 1, the one copy of their rule; discover
-    checks them again at every window of its input.
+    window_length has signature.check_windows's minimum of 3 samples.  The
+    band always pools windows 1..t, so no field chooses that.  rho and alpha
+    are checked by nulltest.multiplier at t = 1, the one copy of their rule;
+    discover checks them again at every window of its input.
     """
 
     window_length: int = 10
@@ -65,11 +65,10 @@ class RunConfig:
     run_granger: bool = False
     run_ccm: bool = False
     granger_tau_max: int = 10
-    pooled: bool = True
 
     def __post_init__(self) -> None:
-        if self.window_length < 2:
-            raise ValueError("window_length must be >= 2")
+        if self.window_length < _MIN_WINDOW_LENGTH:
+            raise ValueError(f"window_length must be >= {_MIN_WINDOW_LENGTH}")
         if self.n_shuffles < 2:
             raise ValueError("n_shuffles must be >= 2")
         if self.stride is not None and self.stride < 1:
@@ -82,8 +81,6 @@ class RunConfig:
             raise ValueError("difference_order must be >= 0")
         if self.granger_tau_max < 1:
             raise ValueError("granger_tau_max must be >= 1")
-        if not self.pooled:
-            raise ValueError("pooled must be True: the band always pools windows 1..t")
 
     @property
     def effective_stride(self) -> int:
@@ -148,6 +145,8 @@ class DiscoveryResult:
     graph: CausalGraph
     traces: Mapping[tuple[str, str], PairTrace]
     config: RunConfig
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))

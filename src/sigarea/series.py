@@ -8,6 +8,7 @@ names.  Every operation here is a pure function returning new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .errors import (
     EmptyRange,
     LengthMismatch,
     NonMonotonicTime,
-    ShiftTooLarge,
     TooShort,
 )
 from . import rng
@@ -30,10 +30,12 @@ def _freeze(values: np.ndarray, dtype: type = np.float64) -> np.ndarray:
 
 
 def _reduce_through_init(obj) -> tuple:
-    """``__reduce__`` of an immutable dataclass that freezes arrays: unpickling
-    calls the constructor, which freezes them again; plain unpickling would
-    give them back writeable."""
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+    """``__reduce__`` of an immutable dataclass that freezes its fields:
+    unpickling calls the constructor, which freezes them again; plain
+    unpickling would give arrays back writeable.  A read-only mapping, which
+    pickle cannot take, goes as a dict for the constructor to wrap."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
 @dataclass(frozen=True)
@@ -155,29 +157,6 @@ def check_lengths(a: Series, b: Series) -> None:
         raise LengthMismatch(
             f"series lengths differ: {a.name!r} {len(a)} vs {b.name!r} {len(b)}"
         )
-
-
-def shift_slices(t_len: int, tau: int) -> tuple[slice, slice]:
-    """The slices of a and of b, each of length t_len, that time_shift_pair
-    aligns at shift ``tau``; ShiftTooLarge when no sample overlaps."""
-    if abs(tau) >= t_len:
-        raise ShiftTooLarge(f"|tau| = {abs(tau)} leaves no overlap at length {t_len}")
-    if tau >= 0:
-        return slice(tau, None), slice(0, t_len - tau)
-    return slice(0, t_len + tau), slice(-tau, None)
-
-
-def time_shift_pair(a: Series, b: Series, tau: int) -> tuple[Series, Series]:
-    """Align a shifted by ``tau`` against b on their common overlap.
-
-    tau > 0 pairs a[t + tau] with b[t]; tau < 0 pairs a[t - |tau|] with b[t];
-    both outputs have length T - |tau|.  tau = 0 returns the inputs.
-    """
-    check_lengths(a, b)
-    head, tail = shift_slices(len(a), tau)
-    if tau == 0:
-        return a, b
-    return Series(a.name, a.values[head]), Series(b.name, b.values[tail])
 
 
 def shuffle(s: Series, seed: int) -> Series:

@@ -26,6 +26,9 @@ import numpy as np
 from .errors import DegeneratePath, LengthMismatch, WindowTooLong
 from .series import Series, _freeze, _reduce_through_init, check_lengths
 
+# A window of two samples is one straight chord, which encloses no area.
+_MIN_WINDOW_LENGTH = 3
+
 # np.sum adds these contiguous term arrays pairwise, with an error that grows
 # with their length; above this many terms math.fsum, correctly rounded but
 # slower, sums the whole-interval areas of the shift profiles instead.
@@ -130,17 +133,6 @@ def _whole_area(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (_sum(cross) + corr)
 
 
-def pair_path(a: Series, b: Series) -> np.ndarray:
-    """Planar path for the ordered pair (a, b): points (b_t, a_t)."""
-    check_lengths(a, b)
-    return np.column_stack([b.values, a.values])
-
-
-def pair_area(a: Series, b: Series) -> float:
-    """Whole-interval signed area of the ordered pair (a, b)."""
-    return signed_area(pair_path(a, b))
-
-
 @dataclass(frozen=True)
 class AreaSequence:
     """Windowed signed areas for an ordered pair."""
@@ -202,8 +194,8 @@ def _window_areas(
 def check_windows(a: Series, b: Series, window_length: int, stride: int) -> None:
     """Raise unless the pair (a, b) can be cut into the requested windows."""
     check_lengths(a, b)
-    if window_length < 2:
-        raise ValueError("window_length must be >= 2")
+    if window_length < _MIN_WINDOW_LENGTH:
+        raise ValueError(f"window_length must be >= {_MIN_WINDOW_LENGTH}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if window_length > len(a):

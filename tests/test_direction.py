@@ -14,11 +14,10 @@ from sigarea import (
     scale_unit_range,
     shift_profile,
     shuffle,
-    time_shift_pair,
+    signed_area,
     ts_savr,
 )
 from sigarea.rng import derive_seed
-from sigarea.signature import pair_area
 
 
 def test_profile_covers_symmetric_range_without_zero(sync_scaled):
@@ -72,6 +71,17 @@ def _bits(profile):
     return {t: float.hex(v) for t, v in profile.areas.items()}
 
 
+def _shifted_area(a, b, tau):
+    # a[t + tau] against b[t] on their overlap, sliced here rather than by
+    # the code under test, through the public path area of (b, a).
+    t_len = len(a)
+    if tau > 0:
+        head, tail = a.values[tau:], b.values[: t_len - tau]
+    else:
+        head, tail = a.values[: t_len + tau], b.values[-tau:]
+    return signed_area(np.column_stack([tail, head]))
+
+
 def _chans(t_len):
     four = gen_four_species(t_len)
     noise = gen_white_noise(t_len, derive_seed(11, "mirror", t_len), "W")
@@ -81,17 +91,16 @@ def _chans(t_len):
 @pytest.mark.parametrize("t_len", [200, 1000, 1001, 1003, 3000])
 @pytest.mark.parametrize("tau_min, tau_max", [(-10, 10), (-3, 7), (2, 9)])
 def test_profile_areas_have_the_bits_of_the_shifted_series_path(t_len, tau_min, tau_max):
-    # The public Series path is the oracle for every area, mirror shifts
-    # included.  At T=1003 a one-shift overlap sums its 1001 products with
-    # math.fsum and a two-shift overlap with np.sum; T=3000 is all fsum.
+    # The public path area of the shifted samples is the oracle for every
+    # area, mirror shifts included.  At T=1003 a one-shift overlap sums its
+    # 1001 products with math.fsum and a two-shift overlap with np.sum;
+    # T=3000 is all fsum.
     chans = _chans(t_len)
     for a, b in ((chans[0], chans[1]), (chans[1], chans[3]), (chans[2], chans[4])):
         profile = shift_profile(a, b, tau_min, tau_max)
         assert profile.taus == tuple(t for t in range(tau_min, tau_max + 1) if t != 0)
         assert set(profile.areas) == set(profile.taus) | {-t for t in profile.taus}
-        oracle = {
-            t: float.hex(pair_area(*time_shift_pair(a, b, t))) for t in profile.areas
-        }
+        oracle = {t: float.hex(_shifted_area(a, b, t)) for t in profile.areas}
         assert _bits(profile) == oracle
 
 
@@ -222,10 +231,10 @@ def test_white_noise_profile_stays_inside_null_band():
     observed = max(abs(v) for v in prof.areas.values())
     nulls = np.array(
         [
-            pair_area(
-                shuffle(a, derive_seed(7, "dirnull", k, 0)),
-                shuffle(b, derive_seed(7, "dirnull", k, 1)),
-            )
+            signed_area(np.column_stack([
+                shuffle(b, derive_seed(7, "dirnull", k, 1)).values,
+                shuffle(a, derive_seed(7, "dirnull", k, 0)).values,
+            ]))
             for k in range(1000)
         ]
     )

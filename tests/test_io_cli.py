@@ -6,6 +6,7 @@ every case; one smoke test goes through a real interpreter.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import string
@@ -204,6 +205,12 @@ def test_report_json_parses_and_mirrors_the_run(tmp_path, small_result):
     assert document["config"]["n_shuffles"] == 50
     assert document["config"]["stride"] == 1
     assert document["config"]["theta"] is None
+    # The band always pools, so no field chooses it; the key stays last
+    # until the report digests are re-recorded.
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert "pooled" not in fields
+    assert list(document["config"]) == [*fields, "pooled"]
+    assert document["config"]["pooled"] is True
     assert len(document["pairs"]) == 2
     fwd = document["pairs"][0]
     assert fwd["i"] == "A" and fwd["j"] == "B"
@@ -399,12 +406,11 @@ def test_cli_ssad_checks_rho_at_every_window_before_shuffling(tmp_path, capsys, 
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("flags", [["--window-length", "2"], ["--window-length", "4", "--stride", "1"]])
+@pytest.mark.parametrize("flags", [["--window-length", "3"], ["--window-length", "4", "--stride", "1"]])
 def test_cli_ssad_runs_no_shift_test(tmp_path, capsys, flags):
     # Eight rows leave no overlap for the default shifts of +-10, which
     # ssad has no flags for and does not need: it prints the band test's
-    # SSAD, the one analyze reports with a range that fits (0 for windows
-    # of two samples, which have no area; -0.6 for the overlapping fours).
+    # SSAD, the one analyze reports with a range that fits.
     csv_path = tmp_path / "eight.csv"
     rows = zip([0.6, 0.3, 0.0, 0.0, 0.8, 0.9, 0.6, 0.7], [0.6, 0.8, 0.6, 0.0, 0.4, 0.4, 0.8, 0.4])
     csv_path.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in rows))
@@ -443,7 +449,7 @@ def test_cli_ccm_on_a_short_csv_is_a_pair_error(tmp_path, capsys):
     csv_path.write_text("A,B\n0.1,0.5\n0.7,0.2\n0.3,0.9\n0.9,0.4\n0.2,0.6\n")
     out = tmp_path / "run"
     assert cli.main([
-        "analyze", str(csv_path), "--out", str(out), "--window-length", "2",
+        "analyze", str(csv_path), "--out", str(out), "--window-length", "3",
         "--tau-min", "-2", "--tau-max", "2", "--n-shuffles", "50", "--ccm",
     ]) == 0
     pairs = json.loads((out / "report.json").read_text())["pairs"]
@@ -463,7 +469,7 @@ def test_cli_ccm_failure_keeps_the_pair_scores(tmp_path):
     for flags in ([], ["--ccm"]):
         out = tmp_path / f"run{len(flags)}"
         assert cli.main([
-            "analyze", str(csv_path), "--out", str(out), "--window-length", "2",
+            "analyze", str(csv_path), "--out", str(out), "--window-length", "3",
             "--tau-min", "-2", "--tau-max", "2", "--n-shuffles", "50", *flags,
         ]) == 0
         runs[bool(flags)] = out
@@ -486,7 +492,7 @@ def test_cli_shift_past_the_series_is_a_shift_error(tmp_path):
     csv_path.write_text("A,B\n" + "\n".join(rows) + "\n")
     out = tmp_path / "run"
     assert cli.main([
-        "analyze", str(csv_path), "--out", str(out), "--window-length", "2",
+        "analyze", str(csv_path), "--out", str(out), "--window-length", "3",
         "--tau-min", "-3", "--tau-max", "20", "--n-shuffles", "50",
     ]) == 0
     pairs = json.loads((out / "report.json").read_text())["pairs"]
@@ -622,6 +628,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["ssad", *pair, "--rho", "nan"],
         ["analyze", csv_path, *out, "--rho", "inf"],
         ["analyze", csv_path, *out, "--alpha", "nan"],
+        # A window of two samples is one chord and encloses no area.
+        ["analyze", csv_path, *out, "--window-length", "2"],
+        ["ssad", *pair, "--window-length", "2"],
         # t^2 rho^2 overflows from window 135 on, which would give m = 0 there.
         ["ssad", four, "--x", "Y", "--y", "Z", "--n-shuffles", "50", "--stride", "1",
          "--rho", "1e152"],

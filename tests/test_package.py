@@ -6,9 +6,28 @@ import sigarea
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# The public surface, pinned: a name enters or leaves it only on purpose.
+EXPORTED = [
+    "AreaSequence", "CausalGraph", "CcmResult", "ConstantSeries", "DegenerateEmbedding",
+    "DegeneratePath", "DirectionVerdict", "DiscoveryResult", "Divergence", "EmptyRange",
+    "GrangerResult", "GraphEdge", "InsufficientData", "IoError", "LengthMismatch",
+    "NameTaken", "NonMonotonicTime", "NonNumericCell", "NullBand", "Panel",
+    "PairReport", "PairTrace", "ParseError", "RaggedRows", "RunConfig", "Series",
+    "ShiftProfile", "ShiftTooLarge", "Sig2", "SigAreaError", "SingularDesign",
+    "SsadResult", "SystemSpec", "TooShort", "WindowTooLong", "ZeroVariance", "ccm",
+    "ccm_many", "chen_concat", "confidence_band", "default_library_sizes", "difference",
+    "discover", "f_upper_tail", "gen_four_species", "gen_two_species_bidir",
+    "gen_two_species_sync", "gen_white_noise", "generate", "granger", "granger_many",
+    "interpolate_uniform", "multiplier", "null_ensemble", "rank_pairs", "read_csv",
+    "regularized_incomplete_beta", "scale_unit_range", "shift_profile", "shuffle",
+    "signature_depth2", "signed_area", "signed_area_sequence", "ssad",
+    "ssad_pair_detail", "ts_savr", "window_count", "write_csv", "write_report",
+]
+
 
 def test_every_exported_name_exists_once():
     names = sigarea.__all__
+    assert names == EXPORTED
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(sigarea, name)] == []
     # discover is the one entry that scores pairs.

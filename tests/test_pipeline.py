@@ -1,7 +1,8 @@
 """End-to-end discovery runs on the benchmark panels."""
 
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ def test_run_config_stride_defaulting():
     "kwargs",
     [
         {"window_length": 1},
+        # A window of two samples is one chord and encloses no area.
+        {"window_length": 2},
         {"n_shuffles": 1},
         {"stride": 0},
         {"rho": 0.0},
@@ -65,8 +68,6 @@ def test_run_config_stride_defaulting():
         {"theta": 1.5},
         {"difference_order": -1},
         {"granger_tau_max": 0},
-        # The band always pools windows 1..t.
-        {"pooled": False},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -76,7 +77,7 @@ def test_run_config_validation(kwargs):
 
 def test_discover_checks_rho_at_every_window_before_any_pair(monkeypatch):
     # m(1) is finite at rho = 1e153, so RunConfig accepts it, but m is not
-    # from window 14 on; the run has 150 windows.  With T below the window
+    # from window 14 on; the run has 100 windows.  With T below the window
     # length there are no windows to check, and each pair fails on its own.
     calls = []
     band_test = pipeline.pair_band_test
@@ -86,7 +87,7 @@ def test_discover_checks_rho_at_every_window_before_any_pair(monkeypatch):
         return band_test(*args)
 
     monkeypatch.setattr(pipeline, "pair_band_test", spy)
-    config = RunConfig(rho=1e153, n_shuffles=20, window_length=2)
+    config = RunConfig(rho=1e153, n_shuffles=20, window_length=3)
     with pytest.raises(ValueError, match="non-finite or zero band multiplier"):
         discover(gen_four_species(300), config)
     assert calls == []
@@ -199,7 +200,7 @@ def test_failing_baseline_keeps_the_pair_scores():
         Series("A", np.array([0.1, 0.7, 0.3, 0.9, 0.2])),
         Series("B", np.array([0.5, 0.2, 0.9, 0.4, 0.6])),
     ))
-    config = RunConfig(window_length=2, tau_min=-2, tau_max=2, n_shuffles=50)
+    config = RunConfig(window_length=3, tau_min=-2, tau_max=2, n_shuffles=50)
     plain = discover(panel, config)
     result = discover(panel, replace(config, run_ccm=True))
     for r, bare in zip(result.reports, plain.reports):
@@ -578,29 +579,48 @@ def test_a_worker_that_dies_raises_runtime_error():
     assert multiprocessing.active_children() == []
 
 
+def _assert_same_frozen(kept, value):
+    # Arrays keep their bytes and stay read-only, mappings stay read-only
+    # mappings, and dataclasses are checked field by field.
+    assert type(kept) is type(value)
+    if isinstance(value, np.ndarray):
+        assert kept.dtype == value.dtype and kept.tobytes() == value.tobytes()
+        assert not kept.flags.writeable
+    elif isinstance(value, MappingProxyType):
+        assert list(kept) == list(value)
+        for key in value:
+            _assert_same_frozen(kept[key], value[key])
+    elif is_dataclass(value):
+        for name, field_value in vars(value).items():
+            _assert_same_frozen(vars(kept)[name], field_value)
+    else:
+        assert kept == value
+
+
 def test_frozen_arrays_stay_read_only_through_pickle():
+    import copy
     import pickle
 
+    from sigarea import shift_profile
     from sigarea.nulltest import NullBand, SsadResult
     from sigarea.signature import AreaSequence, Sig2
 
     values = np.arange(4.0)
+    panel = gen_four_species(300)
+    x, y = panel.get("X"), panel.get("Y")
     for frozen in (
         Series("A", values),
         AreaSequence(("A", "B"), 2, 1, values),
         NullBand(values - 1, values + 1, values, values),
         SsadResult(("A", "B"), np.array([0, 1, -1]), 0.0),
         Sig2(values[:2], np.eye(2)),
+        granger(x, y, 3),
+        ccm(x, y),
+        shift_profile(x, y),
+        discover(panel, RunConfig(n_shuffles=20)),
     ):
-        copy = pickle.loads(pickle.dumps(frozen))
-        assert type(copy) is type(frozen)
-        for name, value in vars(frozen).items():
-            kept = vars(copy)[name]
-            if isinstance(value, np.ndarray):
-                assert kept.dtype == value.dtype and kept.tobytes() == value.tobytes()
-                assert not kept.flags.writeable
-            else:
-                assert kept == value
+        _assert_same_frozen(pickle.loads(pickle.dumps(frozen)), frozen)
+        _assert_same_frozen(copy.deepcopy(frozen), frozen)
 
 
 def _discover_in_a_daemonic_worker(_):

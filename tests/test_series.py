@@ -8,13 +8,11 @@ from sigarea import (
     NonMonotonicTime,
     Panel,
     Series,
-    ShiftTooLarge,
     TooShort,
     difference,
     interpolate_uniform,
     scale_unit_range,
     shuffle,
-    time_shift_pair,
 )
 
 
@@ -128,33 +126,6 @@ def test_interpolate_uniform_errors():
     for step in (-1.0, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite positive"):
             interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), step)
-
-
-def test_time_shift_pair_examples():
-    a = Series("a", [1.0, 2.0, 3.0, 4.0])
-    b = Series("b", [9.0, 8.0, 7.0, 6.0])
-    sa, sb = time_shift_pair(a, b, 1)
-    assert np.array_equal(sa.values, [2.0, 3.0, 4.0])
-    assert np.array_equal(sb.values, [9.0, 8.0, 7.0])
-    sa, sb = time_shift_pair(a, b, -1)
-    assert np.array_equal(sa.values, [1.0, 2.0, 3.0])
-    assert np.array_equal(sb.values, [8.0, 7.0, 6.0])
-    sa, sb = time_shift_pair(a, b, 0)
-    assert sa is a and sb is b
-
-
-def test_time_shift_pair_lengths_and_errors():
-    a = Series("a", np.arange(10.0))
-    b = Series("b", np.arange(10.0) * 2)
-    for tau in range(-9, 10):
-        sa, sb = time_shift_pair(a, b, tau)
-        assert len(sa) == len(sb) == 10 - abs(tau)
-    with pytest.raises(ShiftTooLarge):
-        time_shift_pair(a, b, 10)
-    with pytest.raises(ShiftTooLarge):
-        time_shift_pair(a, b, -10)
-    with pytest.raises(LengthMismatch):
-        time_shift_pair(a, Series("c", [1.0, 2.0]), 1)
 
 
 def test_shuffle_preserves_multiset_and_is_deterministic():

@@ -17,8 +17,6 @@ from sigarea import (
     Series,
     WindowTooLong,
     chen_concat,
-    pair_area,
-    pair_path,
     signature_depth2,
     signed_area,
     signed_area_sequence,
@@ -155,18 +153,22 @@ def test_signature_input_validation():
         signed_area(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
 
+def _whole_window(a, b):
+    # The pair's area over one window spanning the whole series.
+    (area,) = signed_area_sequence(a, b, len(a)).values
+    return area
+
+
 def test_pair_path_orientation_fixed_once():
     # The ordered pair (a, b) is traced with b on the horizontal axis and a
     # on the vertical axis; everything downstream inherits this convention.
     a = Series("a", [0.0, 0.0, 1.0, 1.0, 0.0])
     b = Series("b", [0.0, 1.0, 1.0, 0.0, 0.0])
-    path = pair_path(a, b)
-    assert np.array_equal(path[:, 0], b.values)
-    assert np.array_equal(path[:, 1], a.values)
     # b moves first around this loop, so the (b, a)-plane traversal is
     # counterclockwise and the pair (a, b) gets the positive area
-    assert pair_area(a, b) == pytest.approx(1.0, abs=1e-12)
-    assert pair_area(b, a) == pytest.approx(-1.0, abs=1e-12)
+    assert _whole_window(a, b) == pytest.approx(1.0, abs=1e-12)
+    assert _whole_window(b, a) == pytest.approx(-1.0, abs=1e-12)
+    assert _whole_window(a, b) == signed_area(np.column_stack([b.values, a.values]))
 
 
 def test_area_sequence_window_count_and_stride():
@@ -245,7 +247,7 @@ def test_property_pair_area_antisymmetry(xs, ys):
     n = min(len(xs), len(ys))
     a = Series("a", xs[:n])
     b = Series("b", ys[:n])
-    assert pair_area(a, b) == -pair_area(b, a)
+    assert _whole_window(a, b) == -_whole_window(b, a)
 
 
 @settings(max_examples=50, deadline=None)
