@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateEmbedding, LengthMismatch, SingularDesign, TooShort
-from .series import Series, _reduce_through_init
+from .errors import DegenerateEmbedding, SingularDesign, TooShort
+from .series import Series, _reduce_through_init, check_lengths
 
 _CF_MAX_ITER = 400
 _CF_EPS = 3e-16
@@ -181,6 +181,12 @@ def _one_blas_thread():
                 set_threads(count)
 
 
+def _check_granger_lag(tau_max: int) -> None:
+    # Named after RunConfig's field: tau_max alone is the shift range there.
+    if tau_max < 1:
+        raise ValueError("granger_tau_max must be >= 1")
+
+
 def granger_many(
     x: Series, ys: Sequence[Series], tau_max: int = 10
 ) -> list[GrangerResult]:
@@ -211,10 +217,9 @@ def granger_many(
     not over the summed index, so every p-value has the bits the threaded
     path gives.
     """
-    if tau_max < 1:
-        raise ValueError("tau_max must be >= 1")
-    if any(len(y) != len(x) for y in ys):
-        raise LengthMismatch("series must have equal length")
+    _check_granger_lag(tau_max)
+    for y in ys:
+        check_lengths(x, y)
     t_len = len(x)
     if t_len <= 3 * tau_max + 1:
         raise TooShort(
@@ -384,8 +389,8 @@ def ccm_many(
     """
     if embed_dim < 1 or lag < 1:
         raise ValueError("embed_dim and lag must be >= 1")
-    if any(len(x) != len(y) for x in xs):
-        raise LengthMismatch("series must have equal length")
+    for x in xs:
+        check_lengths(x, y)
     t_len = len(y)
     offset = (embed_dim - 1) * lag
     n_points = t_len - offset

@@ -20,8 +20,9 @@ prepared ones, so they can differ in the last digits, or entirely under
 Exit codes: 0 success, 1 usage or parameter error (a bad flag value, a
 generator parameter the system does not take, one channel as both --x and
 --y), 2 data error (unreadable or malformed input, under two channels,
-analysis failure).  The default seed is 0, or the value of the SIGAREA_SEED
-environment variable when set; an explicit --seed always wins.
+analysis failure, out of memory).  The default seed is 0, or the value of
+the SIGAREA_SEED environment variable when set; an explicit --seed always
+wins.
 """
 
 from __future__ import annotations
@@ -236,6 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (SigAreaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -110,9 +110,13 @@ def _check_sides(taus: tuple[int, ...], error: type[Exception]) -> None:
 
 def _shift_slices(t_len: int, tau: int) -> tuple[slice, slice]:
     """The slices of a and of b that pair a[t + tau] with b[t] on their
-    common overlap of t_len - |tau| samples; ShiftTooLarge when there is none."""
-    if abs(tau) >= t_len:
-        raise ShiftTooLarge(f"|tau| = {abs(tau)} leaves no overlap at length {t_len}")
+    common overlap of t_len - |tau| samples; ShiftTooLarge when the overlap
+    holds fewer than the 2 samples a path needs."""
+    overlap = max(t_len - abs(tau), 0)
+    if overlap < 2:
+        raise ShiftTooLarge(
+            f"|tau| = {abs(tau)} leaves {overlap} of {t_len} samples aligned, fewer than 2"
+        )
     if tau >= 0:
         return slice(tau, None), slice(0, t_len - tau)
     return slice(0, t_len + tau), slice(-tau, None)
@@ -137,10 +141,6 @@ def shift_profile(
     areas: dict[int, float] = {}
     for tau in taus + tuple(-t for t in taus if -t not in taus):
         head, tail = _shift_slices(len(a), tau)
-        if len(a) - abs(tau) < 2:
-            raise ShiftTooLarge(
-                f"|tau| = {abs(tau)} leaves a one-sample overlap at length {len(a)}"
-            )
         areas[tau] = _whole_area(a.values[head], b.values[tail])
     return ShiftProfile((a.name, b.name), taus, areas)
 

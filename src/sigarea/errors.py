@@ -3,7 +3,10 @@
 Every data-dependent failure raises one of these, all rooted at
 :class:`SigAreaError` so callers (and the CLI) can catch the family at once.
 A parameter outside its documented range raises plain ValueError instead,
-and bad argument types TypeError.  The CLI maps the two families in one
+and bad argument types TypeError.  Each parameter rule is checked in the
+one module that owns it, and RunConfig calls that same check, so a bad
+value gives one ValueError text whether it comes in through RunConfig or
+straight to a library function.  The CLI maps the two families in one
 place: ValueError exits 1 (a usage error), SigAreaError exits 2 (a data
 error).
 """
@@ -32,7 +35,7 @@ class EmptyRange(SigAreaError):
 
 
 class ShiftTooLarge(SigAreaError):
-    """|tau| leaves no overlap between the shifted pair."""
+    """|tau| leaves under 2 aligned samples of the shifted pair."""
 
 
 class DegeneratePath(SigAreaError):

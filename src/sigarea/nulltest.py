@@ -88,11 +88,12 @@ def multiplier(t, rho: float = 1.0, alpha: float = 0.05):
     return float(out) if np.isscalar(t) else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullBand:
     """Per-window confidence-sequence bounds from a shuffle ensemble: the
     bounds and the running mean and standard deviation behind them.  The
-    rho, alpha and shuffle count that made them are the run's RunConfig."""
+    rho, alpha and shuffle count that made them are the run's RunConfig.
+    Compares and hashes by identity."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -111,9 +112,9 @@ class NullBand:
         return int(self.mu.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SsadResult:
-    """Per-window band-exit indicators and their mean."""
+    """Per-window band-exit indicators and their mean, compared and hashed by identity."""
 
     pair: tuple[str, str]
     per_step: np.ndarray
@@ -125,6 +126,12 @@ class SsadResult:
         object.__setattr__(self, "per_step", _freeze(self.per_step, np.int64))
         object.__setattr__(self, "pair", tuple(self.pair))
         object.__setattr__(self, "score", float(self.score))
+
+
+def _check_n_shuffles(n_shuffles: int) -> None:
+    # A band needs a sample standard deviation, so at least 2 rows.
+    if n_shuffles < 2:
+        raise ValueError("n_shuffles must be >= 2")
 
 
 def null_ensemble(
@@ -156,8 +163,7 @@ def null_ensemble(
     result the memory used is O(threads x max(T, _BLOCK_VALUES)).  The
     result is Fortran-ordered, the layout confidence_band reads.
     """
-    if n_shuffles < 2:
-        raise InsufficientData("need at least 2 shuffles for a null ensemble")
+    _check_n_shuffles(n_shuffles)
     check_windows(a, b, window_length, stride)
     t_len = len(a)
     block_rows = max(1, _BLOCK_VALUES // t_len)

@@ -25,13 +25,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .baselines import ccm_many, granger_many
+from .baselines import _check_granger_lag, ccm_many, granger_many
 from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
-from .nulltest import NullBand, SsadResult, _usable_cpus, multiplier, ssad_pair_detail
+from .nulltest import (
+    NullBand, SsadResult, _check_n_shuffles, _usable_cpus, multiplier, ssad_pair_detail
+)
 from .rng import derive_seed
-from .series import Panel, Series, _reduce_through_init, difference, scale_unit_range
-from .signature import _MIN_WINDOW_LENGTH, AreaSequence, window_count
+from .series import (
+    Panel, Series, _check_difference_order, _reduce_through_init, difference, scale_unit_range
+)
+from .signature import AreaSequence, _check_window, window_count
 from .synth import gen_white_noise
 
 
@@ -45,10 +49,11 @@ class RunConfig:
     rank mode: no hard edge threshold, every pair lands in the graph with
     its confidence.  difference_order is applied before scaling;
     interpolation onto a uniform grid happens at CSV load time, not here.
-    window_length has signature.check_windows's minimum of 3 samples.  The
-    band always pools windows 1..t, so no field chooses that.  rho and alpha
-    are checked by nulltest.multiplier at t = 1, the one copy of their rule;
-    discover checks them again at every window of its input.
+    window_length is at least 3 samples.  The band always pools windows
+    1..t, so no field chooses that.  Each field but theta, which only the
+    pipeline reads, is checked by the one check of the module that reads
+    it (rho and alpha at t = 1); discover checks rho and alpha again at
+    every window of its input.
     """
 
     window_length: int = 10
@@ -67,20 +72,14 @@ class RunConfig:
     granger_tau_max: int = 10
 
     def __post_init__(self) -> None:
-        if self.window_length < _MIN_WINDOW_LENGTH:
-            raise ValueError(f"window_length must be >= {_MIN_WINDOW_LENGTH}")
-        if self.n_shuffles < 2:
-            raise ValueError("n_shuffles must be >= 2")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError("stride must be >= 1 when given")
+        _check_window(self.window_length, self.effective_stride)
+        _check_n_shuffles(self.n_shuffles)
         multiplier(1, self.rho, self.alpha)
         _check_sides(_nonzero_taus(self.tau_min, self.tau_max), ValueError)
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1] when given")
-        if self.difference_order < 0:
-            raise ValueError("difference_order must be >= 0")
-        if self.granger_tau_max < 1:
-            raise ValueError("granger_tau_max must be >= 1")
+        _check_difference_order(self.difference_order)
+        _check_granger_lag(self.granger_tau_max)
 
     @property
     def effective_stride(self) -> int:

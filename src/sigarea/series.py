@@ -38,9 +38,9 @@ def _reduce_through_init(obj) -> tuple:
     return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """Named, immutable vector of finite samples."""
+    """Named, immutable vector of finite samples, compared and hashed by identity."""
 
     name: str
     values: np.ndarray
@@ -108,10 +108,14 @@ def scale_unit_range(s: Series) -> Series:
     return Series(s.name, scaled - scaled.mean())
 
 
+def _check_difference_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("difference_order must be >= 0")
+
+
 def difference(s: Series, order: int) -> Series:
     """Iterated first differences; order 0 returns the input unchanged."""
-    if order < 0:
-        raise ValueError("difference order must be >= 0")
+    _check_difference_order(order)
     if order == 0:
         return s
     if len(s) <= order:

@@ -41,10 +41,11 @@ def _sum(terms: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sig2:
     """Depth-2 signature: level0 is the constant 1, level1 the increment
-    vector, level2 the matrix of double iterated integrals."""
+    vector, level2 the matrix of double iterated integrals.  Compares and
+    hashes by identity."""
 
     level1: np.ndarray
     level2: np.ndarray
@@ -70,6 +71,13 @@ class Sig2:
         return int(self.level1.size)
 
 
+def _check_path(p: np.ndarray) -> None:
+    if p.ndim != 2 or p.shape[0] < 2:
+        raise DegeneratePath("path needs at least 2 points")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("path contains non-finite coordinates")
+
+
 def signature_depth2(path: np.ndarray) -> Sig2:
     """Depth-2 signature of the piecewise-linear path through ``path`` rows.
 
@@ -80,10 +88,7 @@ def signature_depth2(path: np.ndarray) -> Sig2:
     p = np.asarray(path, dtype=np.float64)
     if p.ndim == 1:
         p = p[:, None]
-    if p.ndim != 2 or p.shape[0] < 2:
-        raise DegeneratePath("path needs at least 2 points")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("path contains non-finite coordinates")
+    _check_path(p)
     delta = np.diff(p, axis=0)
     chord = p[:-1] - p[0]
     d = p.shape[1]
@@ -118,10 +123,7 @@ def signed_area(path: np.ndarray) -> float:
     p = np.asarray(path, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 2:
         raise ValueError("signed_area expects an n x 2 array of points")
-    if p.shape[0] < 2:
-        raise DegeneratePath("path needs at least 2 points")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("path contains non-finite coordinates")
+    _check_path(p)
     return _whole_area(p[:, 1], p[:, 0])
 
 
@@ -133,9 +135,9 @@ def _whole_area(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (_sum(cross) + corr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AreaSequence:
-    """Windowed signed areas for an ordered pair."""
+    """Windowed signed areas for an ordered pair, compared and hashed by identity."""
 
     pair: tuple[str, str]
     window_length: int
@@ -191,13 +193,17 @@ def _window_areas(
     return 0.5 * (windowed + corr)
 
 
-def check_windows(a: Series, b: Series, window_length: int, stride: int) -> None:
-    """Raise unless the pair (a, b) can be cut into the requested windows."""
-    check_lengths(a, b)
+def _check_window(window_length: int, stride: int) -> None:
     if window_length < _MIN_WINDOW_LENGTH:
         raise ValueError(f"window_length must be >= {_MIN_WINDOW_LENGTH}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+
+
+def check_windows(a: Series, b: Series, window_length: int, stride: int) -> None:
+    """Raise unless the pair (a, b) can be cut into the requested windows."""
+    check_lengths(a, b)
+    _check_window(window_length, stride)
     if window_length > len(a):
         raise WindowTooLong(
             f"window {window_length} exceeds series length {len(a)}"

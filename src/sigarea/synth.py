@@ -32,6 +32,11 @@ def _check_bounds(states: dict[str, np.ndarray]) -> None:
             raise Divergence(f"state {name!r} left the interval (0, 1)")
 
 
+def _check_length(n: int, tau_d: int = 0) -> None:
+    if n < tau_d + 2:
+        raise ValueError(f"need at least {tau_d + 2} samples")
+
+
 def gen_two_species_sync(n: int) -> Panel:
     """Unidirectionally coupled logistic pair, X -> Y.
 
@@ -41,8 +46,7 @@ def gen_two_species_sync(n: int) -> Panel:
     from X_0 = 0.2, Y_0 = 0.4; the panel holds n samples including the
     initial state.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    _check_length(n)
     x = np.empty(n)
     y = np.empty(n)
     x[0], y[0] = 0.2, 0.4
@@ -65,8 +69,7 @@ def gen_two_species_bidir(n: int, tau_d: int = 0) -> Panel:
     """
     if tau_d not in BIDIR_TAUS:
         raise ValueError(f"tau_d must be one of {BIDIR_TAUS}")
-    if n < tau_d + 2:
-        raise ValueError("need at least tau_d + 2 samples")
+    _check_length(n, tau_d)
     x = np.empty(n)
     y = np.empty(n)
     x[0], y[0] = 0.2, 0.4
@@ -88,8 +91,7 @@ def gen_four_species(n: int) -> Panel:
 
     all started at 0.4.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    _check_length(n)
     v = np.empty(n)
     x = np.empty(n)
     y = np.empty(n)
@@ -106,8 +108,7 @@ def gen_four_species(n: int) -> Panel:
 
 def gen_white_noise(n: int, seed: int, name: str = "W") -> Series:
     """i.i.d. standard-normal series from the package's seeded generator."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    _check_length(n)
     return Series(name, standard_normal(n, seed))
 
 

@@ -274,7 +274,7 @@ def test_granger_many_errors_follow_the_target_not_the_drivers():
             granger_many(flat, drivers, tau_max=3)
         assert str(group.value) == str(caught.value)
     assert str(caught.value) == "restricted design is rank-deficient at lag 1"
-    with pytest.raises(LengthMismatch, match="series must have equal length"):
+    with pytest.raises(LengthMismatch, match="^series lengths differ: 'u' 100 vs 'W' 99$"):
         granger_many(noise, [other, gen_white_noise(99, derive_seed(8, 3))])
 
 
@@ -583,7 +583,7 @@ def test_ccm_many_errors_follow_the_manifold_not_the_targets():
             ccm_many(xs, flat)
         assert str(group.value) == str(caught.value)
     assert str(caught.value) == "all shadow-manifold points coincide"
-    with pytest.raises(LengthMismatch, match="series must have equal length"):
+    with pytest.raises(LengthMismatch, match="^series lengths differ: 'W' 99 vs 'u' 100$"):
         ccm_many([other, gen_white_noise(99, derive_seed(9, 3))], noise)
 
 

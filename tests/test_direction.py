@@ -130,12 +130,12 @@ def test_reversing_needs_every_mirror_shift():
 
 
 _RANGE_ERRORS = {
-    (-10, 10): "|tau| = 10 leaves no overlap at length 8",
-    (-3, 20): "|tau| = 7 leaves a one-sample overlap at length 8",
-    (-20, 3): "|tau| = 20 leaves no overlap at length 8",
-    (-3, 7): "|tau| = 7 leaves a one-sample overlap at length 8",
-    (-8, -2): "|tau| = 8 leaves no overlap at length 8",
-    (2, 9): "|tau| = 7 leaves a one-sample overlap at length 8",
+    (-10, 10): "|tau| = 10 leaves 0 of 8 samples aligned, fewer than 2",
+    (-3, 20): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
+    (-20, 3): "|tau| = 20 leaves 0 of 8 samples aligned, fewer than 2",
+    (-3, 7): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
+    (-8, -2): "|tau| = 8 leaves 0 of 8 samples aligned, fewer than 2",
+    (2, 9): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
 }
 
 
@@ -164,7 +164,7 @@ def test_a_one_sample_overlap_is_a_shift_error(swapped):
     for tau_min, tau_max in ((-3, 7), (-7, 3), (1, 7)):
         with pytest.raises(ShiftTooLarge) as caught:
             shift_profile(a, b, tau_min, tau_max)
-        assert str(caught.value) == "|tau| = 7 leaves a one-sample overlap at length 8"
+        assert str(caught.value) == "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2"
 
 
 def _profile(neg, pos):

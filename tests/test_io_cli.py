@@ -498,7 +498,7 @@ def test_cli_shift_past_the_series_is_a_shift_error(tmp_path):
     pairs = json.loads((out / "report.json").read_text())["pairs"]
     assert [(p["i"], p["j"]) for p in pairs] == [("A", "B"), ("B", "A")]
     assert all(
-        p["error"] == "ShiftTooLarge: |tau| = 7 leaves a one-sample overlap at length 8"
+        p["error"] == "ShiftTooLarge: |tau| = 7 leaves 1 of 8 samples aligned, fewer than 2"
         for p in pairs
     )
 
@@ -657,6 +657,26 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     flat.write_text("A,C\n" + "".join(f"{v},0.5\n" for v in (1, 3, 2, 5, 4, 6)))
     assert cli.main(["analyze", str(flat), *out, "--n-shuffles", "10"]) == 0
     assert (tmp_path / "o" / "pairs.csv").read_text().count("ConstantSeries") == 2
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 218. TiB", ""])
+def test_cli_out_of_memory_is_a_data_error_without_traceback(
+    tmp_path, capsys, monkeypatch, detail
+):
+    # A huge --interp-step grid or --n-shuffles fails to allocate; whether a
+    # real request fails at once depends on the machine, so it is simulated.
+    def fail(*args, **kwargs):
+        raise MemoryError(detail)
+
+    err = f"error: out of memory: {detail}\n" if detail else "error: out of memory\n"
+    csv_path = tmp_path / "two.csv"
+    csv_path.write_text("A,B\n1,2\n2,1\n3,3\n")
+    monkeypatch.setattr(cli, "discover", fail)
+    assert cli.main(["analyze", str(csv_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == err
+    monkeypatch.setattr(cli.sio, "read_csv", fail)
+    assert cli.main(["tssavr", str(csv_path), "--x", "A", "--y", "B"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_cli_module_entry_point_smoke():

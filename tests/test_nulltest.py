@@ -349,7 +349,7 @@ def test_a_failing_thread_share_raises_its_error_and_leaves_no_thread(monkeypatc
 def test_null_ensemble_needs_two_rows():
     a = scale_unit_range(gen_white_noise(50, derive_seed(5, 0)))
     b = scale_unit_range(gen_white_noise(50, derive_seed(5, 1)))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match="^n_shuffles must be >= 2$"):
         null_ensemble(a, b, 10, 1, seed=0)
 
 

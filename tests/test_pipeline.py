@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from sigarea import (
+    DegeneratePath,
     GraphEdge,
     InsufficientData,
+    LengthMismatch,
     NameTaken,
     PairReport,
     Panel,
     RunConfig,
     Series,
+    ShiftTooLarge,
     SigAreaError,
     ccm,
     discover,
@@ -73,6 +76,69 @@ def test_run_config_stride_defaulting():
 def test_run_config_validation(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def _rule_cases():
+    """Per input rule: the owner's error type and text, and a call through
+    each public entry point that breaks the rule."""
+    from sigarea import (
+        ccm_many, difference, gen_two_species_bidir, granger_many, null_ensemble,
+        shift_profile, signature_depth2, signed_area,
+    )
+    from sigarea.signature import check_windows
+
+    a = Series("a", np.sin(np.arange(50.0)))
+    b = Series("b", np.cos(0.7 * np.arange(50.0)))
+    c = Series("c", np.arange(49.0))
+    a8, b8 = Series("a", a.values[:8]), Series("b", b.values[:8])
+    lone, unfinished = np.zeros((1, 2)), np.array([[0.0, 0.0], [np.nan, 1.0]])
+    return {
+        "window_length": (ValueError, "window_length must be >= 3", [
+            lambda: RunConfig(window_length=2), lambda: check_windows(a, b, 2, 1),
+        ]),
+        "stride": (ValueError, "stride must be >= 1", [
+            lambda: RunConfig(stride=0), lambda: check_windows(a, b, 5, 0),
+        ]),
+        "n_shuffles": (ValueError, "n_shuffles must be >= 2", [
+            lambda: RunConfig(n_shuffles=1), lambda: null_ensemble(a, b, 5, 1, seed=0),
+        ]),
+        "difference_order": (ValueError, "difference_order must be >= 0", [
+            lambda: RunConfig(difference_order=-1), lambda: difference(a, -1),
+        ]),
+        "granger_tau_max": (ValueError, "granger_tau_max must be >= 1", [
+            lambda: RunConfig(granger_tau_max=0), lambda: granger_many(a, [b], 0),
+            lambda: granger(a, b, 0),
+        ]),
+        "equal_lengths": (LengthMismatch, "series lengths differ: 'a' 50 vs 'c' 49", [
+            lambda: check_windows(a, c, 5, 1), lambda: granger_many(a, [b, c], 3),
+            lambda: ccm_many([a, b], c), lambda: shift_profile(a, c),
+        ]),
+        "shift_overlap": (ShiftTooLarge, "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2", [
+            lambda: shift_profile(a8, b8, -3, 7), lambda: shift_profile(b8, a8, -7, 3),
+        ]),
+        "path_points": (DegeneratePath, "path needs at least 2 points", [
+            lambda: signed_area(lone), lambda: signature_depth2(lone),
+        ]),
+        "path_finite": (ValueError, "path contains non-finite coordinates", [
+            lambda: signed_area(unfinished), lambda: signature_depth2(unfinished),
+        ]),
+        "generator_length": (ValueError, "need at least 4 samples", [
+            lambda: gen_two_species_bidir(3, tau_d=2),
+        ]),
+        "generator_length_no_delay": (ValueError, "need at least 2 samples", [
+            lambda: gen_two_species_sync(1), lambda: gen_two_species_bidir(1),
+            lambda: gen_four_species(1), lambda: gen_white_noise(1, 0),
+        ]),
+    }
+
+
+@pytest.mark.parametrize("rule", list(_rule_cases()))
+def test_each_input_rule_has_one_type_and_text_at_every_entry_point(rule):
+    error, text, calls = _rule_cases()[rule]
+    for call in calls:
+        with pytest.raises(Exception) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == (error, text)
 
 
 def test_discover_checks_rho_at_every_window_before_any_pair(monkeypatch):
@@ -621,6 +687,29 @@ def test_frozen_arrays_stay_read_only_through_pickle():
     ):
         _assert_same_frozen(pickle.loads(pickle.dumps(frozen)), frozen)
         _assert_same_frozen(copy.deepcopy(frozen), frozen)
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    import pickle
+
+    from sigarea.nulltest import NullBand, SsadResult
+    from sigarea.signature import AreaSequence, Sig2
+
+    values = np.arange(4.0)
+    for make in (
+        lambda: Series("A", values),
+        lambda: AreaSequence(("A", "B"), 3, 1, values),
+        lambda: NullBand(values - 1, values + 1, values, values),
+        lambda: SsadResult(("A", "B"), np.array([0, 1, -1]), 0.0),
+        lambda: Sig2(values[:2], np.eye(2)),
+    ):
+        record, twin = make(), make()
+        assert record == record and record != twin
+        assert len({record, record, twin}) == 2
+    result = discover(gen_four_species(300), RunConfig(n_shuffles=20))
+    assert result == result
+    # The copy's traces hold new arrays, so the records differ.
+    assert pickle.loads(pickle.dumps(result)) != result
 
 
 def _discover_in_a_daemonic_worker(_):
