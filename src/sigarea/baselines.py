@@ -9,6 +9,7 @@ delay embedding, nearest-neighbor weighting, and skill scoring directly.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import sys
@@ -119,11 +120,14 @@ def _ssr(design: np.ndarray, target: np.ndarray) -> tuple[float, int]:
     return float(resid @ resid), int(rank)
 
 
+@functools.cache
 def _locate_blas_setters() -> tuple:
     """openblas_set_num_threads_local of every OpenBLAS this process has
     already loaded; empty off Linux, under another BLAS, or where the
     symbol is missing (OpenBLAS before 0.3.27).  RTLD_NOLOAD opens only a
-    library that is already mapped, so no second copy is ever loaded."""
+    library that is already mapped, so no second copy is ever loaded.
+    Cached: the first lag loop looks it up, not the import, and two
+    threads racing on that first call look up the same libraries."""
     if not sys.platform.startswith("linux"):
         return ()
     try:
@@ -144,17 +148,7 @@ def _locate_blas_setters() -> tuple:
     return tuple(setters)
 
 
-# Resolved on the first lag loop, not at import, so import time stays put.
-_blas_setters: tuple | None = None
 _BLAS_SCOPE_LOCK = threading.Lock()
-
-
-def _blas_thread_setters() -> tuple:
-    # Two threads racing here both look up the same libraries; one result wins.
-    global _blas_setters
-    if _blas_setters is None:
-        _blas_setters = _locate_blas_setters()
-    return _blas_setters
 
 
 @contextmanager
@@ -168,7 +162,7 @@ def _one_blas_thread():
     threads take turns: overlapping ones would restore out of order.  With
     no setter found the body runs as it is, on the BLAS's own settings.
     """
-    setters = _blas_thread_setters()
+    setters = _locate_blas_setters()
     if not setters:
         yield
         return
@@ -344,13 +338,18 @@ def _nearest_positions(cand: np.ndarray, k: int) -> np.ndarray:
 
 def _cross_map_skill(d: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> float:
     """Skill of the exp(-d/d_1)-weighted neighbour average of the targets."""
+    near = targets[idx]
+    # Averages of equal targets carry no information; like a constant
+    # target, their rounding noise would pass the denominator guard.
+    if near.max() == near.min():
+        return 0.0
     nearest = d[:, :1]
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.exp(-d / nearest)
     w[~np.isfinite(w)] = 1.0
     w[nearest[:, 0] == 0.0] = 1.0
     w /= w.sum(axis=1, keepdims=True)
-    pred = (w * targets[idx]).sum(axis=1)
+    pred = (w * near).sum(axis=1)
     return _squared_pearson(pred, targets)
 
 
@@ -373,7 +372,8 @@ def ccm_many(
     equidistant candidates the lower library index wins, so the neighbours
     are fully determined by the data.  Skill is the squared Pearson
     correlation between predicted and actual x, and high skill is evidence
-    that x forces y.
+    that x forces y.  Skill is 0 where x is constant, and at a library
+    size whose chosen neighbours all hold one value of x.
 
     The neighbours depend on y alone, so y is embedded and searched once
     and every target is scored from the same neighbours at each library

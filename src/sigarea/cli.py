@@ -106,6 +106,7 @@ def _build_parser() -> _Parser:
                      help="accepted for interface symmetry; the map "
                           "generators are deterministic")
     gen.add_argument("--out", required=True, metavar="FILE")
+    gen.set_defaults(handler=_generate)
 
     ana = sub.add_parser("analyze", help="pairwise discovery over a CSV panel")
     ana.add_argument("csv")
@@ -119,13 +120,15 @@ def _build_parser() -> _Parser:
                      help="add lagged-regression baseline columns")
     ana.add_argument("--ccm", dest="run_ccm", action="store_true",
                      help="add cross-mapping baseline columns")
+    ana.set_defaults(handler=_analyze)
 
-    for name in ("ssad", "tssavr"):
+    for name, handler in (("ssad", _ssad), ("tssavr", _tssavr)):
         single = sub.add_parser(name, help=f"run {name} on one ordered pair")
         single.add_argument("csv")
         single.add_argument("--x", required=True, metavar="NAME")
         single.add_argument("--y", required=True, metavar="NAME")
         _add_run_flags(single, shuffles=name == "ssad", taus=name == "tssavr")
+        single.set_defaults(handler=handler)
 
     base = sub.add_parser("baseline", help="reference method on one pair")
     base.add_argument("method", choices=["granger", "ccm"])
@@ -136,6 +139,7 @@ def _build_parser() -> _Parser:
                       help="largest regression lag (granger)")
     base.add_argument("--embed-dim", type=int, default=2)
     base.add_argument("--lag", type=int, default=1)
+    base.set_defaults(handler=_baseline)
     return parser
 
 
@@ -211,20 +215,11 @@ def _baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate": _generate,
-    "analyze": _analyze,
-    "ssad": _ssad,
-    "tssavr": _tssavr,
-    "baseline": _baseline,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ValueError as exc:  # parameter errors, UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,7 +71,8 @@ class DegenerateEmbedding(SigAreaError):
 
 
 class ParseError(SigAreaError):
-    """CSV structure is invalid; message carries the location."""
+    """CSV text cannot be decoded or its structure is invalid; message
+    carries the location."""
 
 
 class RaggedRows(ParseError):

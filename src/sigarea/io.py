@@ -81,11 +81,15 @@ def read_csv(
     The header names the channels; a first column named exactly "time" is
     treated as timestamps rather than a channel.  With a time column and an
     interpolation step, every channel is linearly resampled onto the
-    uniform grid and the returned time array is that grid.
+    uniform grid and the returned time array is that grid.  A file that
+    is not UTF-8, or that the csv module cannot read (a field over its
+    field size limit), raises ParseError.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row]
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            rows = [row for row in csv.reader(handle) if row]
+    except (UnicodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
@@ -153,18 +157,8 @@ def write_csv(panel: Panel, path: str, times: np.ndarray | None = None) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-_PAIR_COLUMNS = (
-    "i",
-    "j",
-    "ssad",
-    "abs_ssad",
-    "ts_savr",
-    "direction",
-    "edge",
-    "granger_min_p",
-    "ccm_max_r2",
-    "error",
-)
+# PairReport's fields in order, its pair split into i and j.
+_PAIR_COLUMNS = ("i", "j", *(f.name for f in dataclasses.fields(PairReport)[1:]))
 # report.json leaves out the baseline and error keys of a pair that lacks them.
 _JSON_ALWAYS = _PAIR_COLUMNS[:7]
 
@@ -204,8 +198,9 @@ def _safe_name(name: str) -> str:
 def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
     """Serialize a discovery run into ``out_dir``.
 
-    Emits report.json (config, per-ordered-pair scores, graph edges),
-    pairs.csv (the same scores as a flat table), and one
+    Emits report.json (config, nodes, per-ordered-pair scores, and the
+    nodes and edges again under "graph"), pairs.csv (the same scores as a
+    flat table, one column per PairReport field), and one
     trace_<i>_<j>.csv per scored pair with columns window_index
     (1-based, the t of the band multiplier), actual_area, mu, lower,
     upper.  Channel names made of ASCII letters and digits appear as they
@@ -229,8 +224,8 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
             for r in result.reports
         ],
         "graph": {
-            "nodes": list(result.graph.nodes),
-            "edges": [dataclasses.asdict(e) for e in result.graph.edges],
+            "nodes": list(result.nodes),
+            "edges": [dataclasses.asdict(e) for e in result.edges],
         },
     }
     report_path = os.path.join(out_dir, "report.json")

@@ -46,7 +46,7 @@ class RunConfig:
     stride=None tiles the series with non-overlapping windows (stride =
     window_length); signed_area_sequence, null_ensemble and ssad_pair_detail
     default to stride=1, maximally overlapping windows.  theta=None means
-    rank mode: no hard edge threshold, every pair lands in the graph with
+    rank mode: no hard edge threshold, every scored pair gets an edge with
     its confidence.  difference_order is applied before scaling;
     interpolation onto a uniform grid happens at CSV load time, not here.
     window_length is at least 3 samples.  The band always pools windows
@@ -116,18 +116,6 @@ class GraphEdge:
 
 
 @dataclass(frozen=True)
-class CausalGraph:
-    """Channels plus at most one edge record per unordered pair."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[GraphEdge, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
-
-
-@dataclass(frozen=True)
 class PairTrace:
     """Per-window actual areas and the null band for one name-ordered pair."""
 
@@ -137,11 +125,13 @@ class PairTrace:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Everything one run produced, enough to serialize a full report."""
+    """Everything one run produced, enough to serialize a full report:
+    the channels, every ordered pair's report, at most one edge per
+    unordered pair, the traces of the scored pairs and the config."""
 
     nodes: tuple[str, ...]
     reports: tuple[PairReport, ...]
-    graph: CausalGraph
+    edges: tuple[GraphEdge, ...]
     traces: Mapping[tuple[str, str], PairTrace]
     config: RunConfig
 
@@ -150,6 +140,7 @@ class DiscoveryResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "reports", tuple(self.reports))
+        object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "traces", MappingProxyType(dict(self.traces)))
 
 
@@ -419,9 +410,7 @@ def discover(panel: Panel, config: RunConfig | None = None) -> DiscoveryResult:
     edges = [edge for _, _, _, edge in outcomes if edge is not None]
 
     reports = _with_baselines(reports, prepared, config)
-    nodes = tuple(prepared)
-    graph = CausalGraph(nodes, edges)
-    return DiscoveryResult(nodes, tuple(reports), graph, traces, config)
+    return DiscoveryResult(tuple(prepared), reports, edges, traces, config)
 
 
 def rank_pairs(reports: tuple[PairReport, ...] | list[PairReport]) -> list[PairReport]:

@@ -5,6 +5,7 @@ at 40 significant digits, and the same reference is recomputed live so the
 table itself cannot go stale.
 """
 
+import functools
 import itertools
 import tracemalloc
 from contextlib import contextmanager
@@ -308,7 +309,7 @@ def test_granger_many_on_one_blas_thread_keeps_the_threaded_bits(
     monkeypatch, inputs, tau_max
 ):
     chans = _granger_inputs(inputs)
-    setters = baselines._blas_thread_setters()
+    setters = baselines._locate_blas_setters()
 
     def every_target():
         return [
@@ -319,11 +320,11 @@ def test_granger_many_on_one_blas_thread_keeps_the_threaded_bits(
     scoped = every_target()
     # A lookup that finds nothing leaves the BLAS on its own threads; with a
     # setter at hand, 2 of them make the fits split over threads on any runner.
-    monkeypatch.setattr(baselines, "_blas_setters", None)
-    monkeypatch.setattr(baselines, "_locate_blas_setters", lambda: ())
+    finds_nothing = functools.cache(lambda: ())
+    monkeypatch.setattr(baselines, "_locate_blas_setters", finds_nothing)
     with _blas_threads(setters, 2):
         threaded = every_target()
-    assert baselines._blas_setters == ()
+    assert finds_nothing.cache_info().misses == 1
     for got, want in zip(scoped, threaded):
         for one, other in zip(got, want):
             assert list(one.per_lag_p.items()) == list(other.per_lag_p.items())
@@ -331,7 +332,7 @@ def test_granger_many_on_one_blas_thread_keeps_the_threaded_bits(
 
 
 def test_granger_many_restores_the_blas_thread_count(monkeypatch):
-    setters = baselines._blas_thread_setters()
+    setters = baselines._locate_blas_setters()
     if not setters:
         pytest.skip(
             "no loaded OpenBLAS exports openblas_set_num_threads_local, "
@@ -358,7 +359,7 @@ def test_granger_many_restores_the_blas_thread_count(monkeypatch):
     assert seen == [[1] * len(setters)] * 7
 
 
-def test_blas_setters_are_looked_up_once_and_not_at_import(monkeypatch):
+def test_blas_setters_are_looked_up_once_and_not_at_import():
     # The lookup reads /proc/self/maps and opens libraries; import time
     # must not pay for it, and a run that fits no regression never does.
     import os
@@ -370,7 +371,7 @@ def test_blas_setters_are_looked_up_once_and_not_at_import(monkeypatch):
     script = (
         "import sigarea, sigarea.cli\n"
         "from sigarea import baselines\n"
-        "print(baselines._blas_setters)\n"
+        "print(baselines._locate_blas_setters.cache_info().misses)\n"
     )
     package_root = os.path.dirname(os.path.dirname(sigarea.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
@@ -378,22 +379,18 @@ def test_blas_setters_are_looked_up_once_and_not_at_import(monkeypatch):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "None\n"
+    assert proc.stdout == "0\n"
 
-    calls = []
     locate = baselines._locate_blas_setters
-
-    def spy():
-        calls.append(1)
-        return locate()
-
-    monkeypatch.setattr(baselines, "_blas_setters", None)
-    monkeypatch.setattr(baselines, "_locate_blas_setters", spy)
+    locate.cache_clear()
+    discover(gen_four_species(300), RunConfig(n_shuffles=20))
+    assert locate.cache_info().misses == 0
     config = RunConfig(n_shuffles=20, run_granger=True)
     for _ in range(2):
         result = discover(gen_four_species(300), config)
         assert all(r.granger_min_p is not None for r in result.reports)
-    assert calls == [1]
+    info = locate.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
 
 
 def test_ccm_skill_high_and_converging_for_forced_pair(sync_pair):
@@ -426,6 +423,16 @@ def test_ccm_gives_a_constant_target_no_skill():
     # Centring a constant leaves rounding noise, not zeros, to correlate with.
     noise = gen_white_noise(100, derive_seed(9, "val"))
     got = ccm(Series("flat", np.full(100, 0.3)), noise)
+    assert set(got.skill.values()) == {0.0} and got.max_r2 == 0.0
+
+
+def test_ccm_gives_averages_of_equal_targets_no_skill():
+    # No library reaches the last 12 samples, so every prediction averages
+    # 0.25s; its rounding noise, not zeros, would correlate with x.
+    y = gen_white_noise(200, derive_seed(3, "y"), "y")
+    values = np.full(200, 0.25)
+    values[-12:] = standard_normal(12, derive_seed(3, "x"))
+    got = ccm(Series("x", values), y)
     assert set(got.skill.values()) == {0.0} and got.max_r2 == 0.0
 
 

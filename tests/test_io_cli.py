@@ -158,6 +158,20 @@ def test_write_to_unwritable_location_raises_io_error(tmp_path):
         write_report(result, str(blocker / "sub"))
 
 
+def test_failed_rename_leaves_no_temp_file_and_keeps_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "panel.csv"
+    target.write_bytes(b"A\n0.5\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoError, match="rename refused"):
+        write_csv(Panel((Series("A", [1.0, 2.0]),)), str(target))
+    assert os.listdir(tmp_path) == ["panel.csv"]
+    assert target.read_bytes() == b"A\n0.5\n"
+
+
 @pytest.fixture(scope="module")
 def small_result():
     panel = Panel(
@@ -602,6 +616,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad.write_text("W,W_noise\n1,2\n2,4\n3,1\n4,3\n")
     assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o"), "--noise-channel"]) == 2
     assert "'W_noise' are taken" in capsys.readouterr().err
+    # Text that is not UTF-8, and a field over the csv module's size limit.
+    for content in (b"A,B\n1,2\n\xff\xfe,3\n4,5\n", b'A,B\n1,"' + b"1" * 200_000 + b'"\n'):
+        bad.write_bytes(content)
+        assert cli.main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     four = str(tmp_path / "four.csv")
     assert cli.main(["generate", "four_species", "--tau-d", "2", "--out", four]) == 1

@@ -8,11 +8,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # The public surface, pinned: a name enters or leaves it only on purpose.
 EXPORTED = [
-    "AreaSequence", "CausalGraph", "CcmResult", "ConstantSeries", "DegenerateEmbedding",
-    "DegeneratePath", "DirectionVerdict", "DiscoveryResult", "Divergence", "EmptyRange",
-    "GrangerResult", "GraphEdge", "InsufficientData", "IoError", "LengthMismatch",
-    "NameTaken", "NonMonotonicTime", "NonNumericCell", "NullBand", "Panel",
-    "PairReport", "PairTrace", "ParseError", "RaggedRows", "RunConfig", "Series",
+    "AreaSequence", "CcmResult", "ConstantSeries", "DegenerateEmbedding", "DegeneratePath",
+    "DirectionVerdict", "DiscoveryResult", "Divergence", "EmptyRange", "GrangerResult",
+    "GraphEdge", "InsufficientData", "IoError", "LengthMismatch", "NameTaken",
+    "NonMonotonicTime", "NonNumericCell", "NullBand", "Panel", "PairReport",
+    "PairTrace", "ParseError", "RaggedRows", "RunConfig", "Series",
     "ShiftProfile", "ShiftTooLarge", "Sig2", "SigAreaError", "SingularDesign",
     "SsadResult", "SystemSpec", "TooShort", "WindowTooLong", "ZeroVariance", "ccm",
     "ccm_many", "chen_concat", "confidence_band", "default_library_sizes", "difference",

@@ -173,9 +173,8 @@ def test_discover_report_inventory(sync_result):
     assert sync_result.nodes == ("X", "Y", "W")
     assert len(sync_result.reports) == 6
     assert sorted(sync_result.traces) == [("W", "X"), ("W", "Y"), ("X", "Y")]
-    assert sync_result.graph.nodes == ("X", "Y", "W")
-    # rank mode: every pair carries a graph record, no hard edges flagged
-    assert len(sync_result.graph.edges) == 3
+    # rank mode: every pair carries an edge record, no hard edges flagged
+    assert len(sync_result.edges) == 3
     assert all(not r.edge for r in sync_result.reports)
 
 
@@ -209,13 +208,13 @@ def test_theta_turns_ranking_into_edges():
     fwd = _report(hit, ("X", "Y"))
     assert fwd.abs_ssad >= 0.5
     assert fwd.edge
-    assert len(hit.graph.edges) == 1
-    edge = hit.graph.edges[0]
+    assert len(hit.edges) == 1
+    edge = hit.edges[0]
     assert (edge.source, edge.target, edge.label) == ("X", "Y", "X->Y")
     assert edge.confidence == fwd.abs_ssad
 
     miss = discover(panel, RunConfig(n_shuffles=200, theta=0.99))
-    assert miss.graph.edges == ()
+    assert miss.edges == ()
     assert all(not r.edge for r in miss.reports)
 
 
@@ -226,7 +225,7 @@ def test_edge_direction_comes_from_the_ratio_not_the_label(theta, flags):
     x, y = gen_two_species_sync(600).series
     panel = Panel((Series("a", x.values), Series("a->a", y.values)))
     result = discover(panel, RunConfig(n_shuffles=200, theta=theta))
-    assert result.graph.edges == (GraphEdge("a", "a->a", "a->a->a", 0.6666666666666666),)
+    assert result.edges == (GraphEdge("a", "a->a", "a->a->a", 0.6666666666666666),)
     assert [_report(result, pair).edge for pair in (("a", "a->a"), ("a->a", "a"))] == flags
 
 
@@ -252,7 +251,7 @@ def test_failing_pair_is_isolated():
         assert r.error is not None or r.granger_min_p is not None
         assert replace(r, granger_min_p=None, error=None) == bare
     assert sorted(result.traces) == sorted(plain.traces) == [("P", "X"), ("P", "Y"), ("X", "Y")]
-    assert result.graph == plain.graph
+    assert result.edges == plain.edges
     ranked = rank_pairs(result.reports)
     assert ranked[0].pair == ("X", "Y")
     assert [r.pair for r in ranked[1:]] == [("P", "X"), ("P", "Y")]
@@ -275,7 +274,7 @@ def test_failing_baseline_keeps_the_pair_scores():
         assert r.ssad is not None and r.ts_savr is not None and r.direction is not None
         assert replace(r, error=None) == bare
     assert list(result.traces) == [("A", "B")]
-    assert result.graph == plain.graph
+    assert result.edges == plain.edges
 
 
 def test_constant_channel_only_fails_its_own_pairs():
@@ -288,7 +287,7 @@ def test_constant_channel_only_fails_its_own_pairs():
     broken = [r for r in mixed.reports if "C" in r.pair]
     assert len(broken) == 8
     assert all(r.error == "ConstantSeries: series 'C' has zero range" for r in broken)
-    assert mixed.graph.edges == clean.graph.edges
+    assert mixed.edges == clean.edges
     assert sorted(mixed.traces) == sorted(clean.traces)
 
 
@@ -298,7 +297,7 @@ def test_discover_with_one_channel_that_prepares_reports_the_pair():
     result = discover(Panel((noise, Series("C", np.full(300, 0.5)))), RunConfig(n_shuffles=50))
     assert [r.pair for r in result.reports] == [("A", "C"), ("C", "A")]
     assert all(r.error == "ConstantSeries: series 'C' has zero range" for r in result.reports)
-    assert result.traces == {} and result.graph.edges == ()
+    assert result.traces == {} and result.edges == ()
 
 
 def test_noise_channel_does_not_need_the_first_channel():
@@ -542,7 +541,7 @@ def _trace_arrays(trace):
 def _assert_same_result(result, inline):
     assert result.nodes == inline.nodes
     assert result.reports == inline.reports
-    assert result.graph == inline.graph
+    assert result.edges == inline.edges
     assert list(result.traces) == list(inline.traces)
     for key, trace in inline.traces.items():
         other = result.traces[key]
@@ -717,19 +716,19 @@ def _discover_in_a_daemonic_worker(_):
     pipeline._SHARE_SAMPLES = 1
     pipeline._usable_cpus = lambda: 3
     result = discover(_mixed_panel(), _MIXED_CONFIG)
-    return result.nodes, result.reports, result.graph, dict(result.traces)
+    return result.nodes, result.reports, result.edges, dict(result.traces)
 
 
 def test_discover_in_a_daemonic_process_runs_inline():
     import multiprocessing
 
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        nodes, reports, graph, traces = pool.apply_async(
+        nodes, reports, edges, traces = pool.apply_async(
             _discover_in_a_daemonic_worker, (None,)
         ).get(timeout=120)
     inline = discover(_mixed_panel(), _MIXED_CONFIG)
     _assert_same_result(
-        pipeline.DiscoveryResult(nodes, reports, graph, traces, _MIXED_CONFIG), inline
+        pipeline.DiscoveryResult(nodes, reports, edges, traces, _MIXED_CONFIG), inline
     )
 
 
