@@ -294,61 +294,97 @@ def _squared_pearson(pred: np.ndarray, actual: np.ndarray) -> float:
 
 
 def default_library_sizes(n_points: int) -> tuple[int, ...]:
-    """Ten library sizes from 10 up to 90% of the manifold, ascending."""
+    """Ten evenly spaced points from 10 to top = int(0.9 * n_points), rounded
+    to integers, each kept once, ascending.
+
+    That is ten sizes for n_points >= 22.  From 12 to 21 points the spacing
+    is below 1, so every integer from 10 to top appears once: (10,) at 12.
+    For 2 <= n_points < 12, top is below 10 and the points run down to it:
+    every integer from top to 10, so (9, 10) at 11 and (3, ..., 10) at 4.
+    """
     top = int(0.9 * n_points)
-    sizes = np.unique(np.linspace(10, top, 10).round().astype(int))
-    return tuple(int(s) for s in sizes)
+    # A set, not np.unique: that would import numpy.ma on first use.
+    return tuple(sorted({int(s) for s in np.linspace(10, top, 10).round()}))
 
 
-# Library columns per step of the neighbour search.  A step holds an
-# n x _CCM_CHUNK x E difference block, so ccm's memory is O(n * chunk * E).
-_CCM_CHUNK = 256
+# Distances per block of the neighbour search.  A library step is searched
+# in blocks of max(1, _CCM_BLOCK_VALUES // step columns) manifold rows, so
+# every temporary stays cache-sized and independent of T.
+_CCM_BLOCK_VALUES = 2**15
+
+# Marks a distance already picked.  Distances are never negative, so their
+# int64 bit views sort like their values, and this sits above +inf.
+_PICKED = np.iinfo(np.int64).max
 
 
-def _distances(manifold: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Distances from every manifold point to library columns start..stop-1."""
-    n_points, embed_dim = manifold.shape
-    diffs = np.empty((n_points, stop - start, embed_dim))
+def _distances(
+    manifold: np.ndarray, first: int, last: int, start: int, stop: int
+) -> np.ndarray:
+    """Distances from manifold rows first..last-1 to library columns start..stop-1."""
+    embed_dim = manifold.shape[1]
+    diffs = np.empty((last - first, stop - start, embed_dim))
     # One subtraction per dimension: the same values as broadcasting over
     # the short last axis, which runs about twice as slow.
     for k in range(embed_dim):
         np.subtract(
-            manifold[:, k, None], manifold[None, start:stop, k], out=diffs[:, :, k]
+            manifold[first:last, k, None], manifold[None, start:stop, k], out=diffs[:, :, k]
         )
+    # einsum, not the squares summed over the last axis: from E = 3 on the
+    # two round differently, and the skill keeps einsum's bits.
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    cols = np.arange(stop - start)
-    dist[cols + start, cols] = np.inf  # a point is not its own neighbour
+    own = np.arange(max(first, start), min(last, stop))
+    dist[own - first, own - start] = np.inf  # a point is not its own neighbour
     return dist
 
 
-def _nearest_positions(cand: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the positions of the k smallest values sorted by (value, position)."""
-    kth = np.partition(cand, k - 1, axis=1)[:, k - 1 : k]
-    chosen = cand <= kth
-    over = np.flatnonzero(chosen.sum(axis=1) > k)
-    if over.size:  # ties at the k-th value: keep the first of them by position
-        rows, bound = cand[over], kth[over]
-        below, ties = rows < bound, rows == bound
-        room = k - below.sum(axis=1, keepdims=True)
-        chosen[over] = below | (ties & (np.cumsum(ties, axis=1) <= room))
-    pos = np.nonzero(chosen)[1].reshape(-1, k)
-    order = np.argsort(np.take_along_axis(cand, pos, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(pos, order, axis=1)
+def _merge_nearest(
+    near_bits: np.ndarray, near_i: np.ndarray, dist: np.ndarray, start: int
+) -> None:
+    """Merge the k smallest of each row of ``dist`` (library columns from
+    ``start`` on) into the held set, in place: near_bits holds the k nearest
+    distances' int64 bits and near_i their library indices, both sorted by
+    (distance, index).  ``dist`` is overwritten.
+
+    Each argmin pass takes the first smallest unpicked value, so the picks
+    come sorted by (distance, column); with fewer columns than k the extra
+    picks read _PICKED and lose to every held entry.  A stable argsort with
+    the held set first then keeps the lower library index among equals.
+    """
+    n_rows, k = near_bits.shape
+    bits = dist.view(np.int64)
+    rows = np.arange(n_rows)
+    cand_bits = np.empty((n_rows, 2 * k), dtype=np.int64)
+    cand_i = np.empty((n_rows, 2 * k), dtype=np.intp)
+    cand_bits[:, :k] = near_bits
+    cand_i[:, :k] = near_i
+    for j in range(k, 2 * k):
+        col = bits.argmin(axis=1)
+        cand_bits[:, j] = bits[rows, col]
+        cand_i[:, j] = col + start
+        bits[rows, col] = _PICKED
+    kept = rows[:, None], np.argsort(cand_bits, axis=1, kind="stable")[:, :k]
+    near_bits[:] = cand_bits[kept]
+    near_i[:] = cand_i[kept]
 
 
-def _cross_map_skill(d: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> float:
-    """Skill of the exp(-d/d_1)-weighted neighbour average of the targets."""
-    near = targets[idx]
-    # Averages of equal targets carry no information; like a constant
-    # target, their rounding noise would pass the denominator guard.
-    if near.max() == near.min():
-        return 0.0
+def _neighbour_weights(d: np.ndarray) -> np.ndarray:
+    """The normalized exp(-d/d_1) weights of sorted neighbour distances."""
     nearest = d[:, :1]
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.exp(-d / nearest)
     w[~np.isfinite(w)] = 1.0
     w[nearest[:, 0] == 0.0] = 1.0
     w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def _cross_map_skill(w: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> float:
+    """Skill of the w-weighted average of the targets at the neighbours idx."""
+    near = targets[idx]
+    # Averages of equal targets carry no information; like a constant
+    # target, their rounding noise would pass the denominator guard.
+    if near.max() == near.min():
+        return 0.0
     pred = (w * near).sum(axis=1)
     return _squared_pearson(pred, targets)
 
@@ -377,15 +413,19 @@ def ccm_many(
 
     The neighbours depend on y alone, so y is embedded and searched once
     and every target is scored from the same neighbours at each library
-    size; each result has the bits ccm(x, y) gives alone.  Every target
-    must have len(y) (LengthMismatch), and an error in the embedding or the
-    library sizes is raised for the whole call.
+    size, with weights computed once per size; each result has the bits
+    ccm(x, y) gives alone.  Every target must have len(y) (LengthMismatch),
+    and an error in the embedding or the library sizes is raised for the
+    whole call.
 
-    The library is read in steps of at most _CCM_CHUNK columns that end on
-    every library size, each merged into a running set of the E+1 nearest
-    neighbours, so memory is O(n * _CCM_CHUNK * E) for n manifold points
-    rather than O(n^2 * E), and columns past the largest library are never
-    read.
+    The library is read in one step per library size, the columns added
+    since the previous size, each merged into a running set of the E+1
+    nearest neighbours.  A step is searched in blocks of
+    max(1, _CCM_BLOCK_VALUES // step columns) manifold rows, so beyond
+    O(n * E) arrays for n manifold points, memory holds one block of
+    O(_CCM_BLOCK_VALUES * E) values whatever T, rather than O(n^2 * E),
+    until a step has more than _CCM_BLOCK_VALUES columns.  Columns past
+    the largest library are never read.
     """
     if embed_dim < 1 or lag < 1:
         raise ValueError("embed_dim and lag must be >= 1")
@@ -416,26 +456,23 @@ def ccm_many(
         raise ValueError("smallest library must hold at least embed_dim + 2 points")
 
     n_neigh = embed_dim + 1
-    # The running nearest set comes first in each merge, so a lower position
-    # among equal distances is always a lower library index.  Its starting
-    # placeholders (inf, index 0) lose to any finite distance, and every row
+    # Placeholders (inf, index 0) lose to any finite distance, and every row
     # has E+1 of those by the first library size.
     near_d = np.full((n_points, n_neigh), np.inf)
+    near_bits = near_d.view(np.int64)
     near_i = np.zeros((n_points, n_neigh), dtype=np.intp)
     skills: list[dict[int, float]] = [{} for _ in xs]
     start = 0
     for lib in sizes:
-        while start < lib:
-            stop = min(start + _CCM_CHUNK, lib)
-            cand = np.concatenate([near_d, _distances(manifold, start, stop)], axis=1)
-            pos = _nearest_positions(cand, n_neigh)
-            near_d = np.take_along_axis(cand, pos, axis=1)
-            held = pos < n_neigh
-            kept = np.take_along_axis(near_i, np.where(held, pos, 0), axis=1)
-            near_i = np.where(held, kept, pos + (start - n_neigh))
-            start = stop
+        n_rows = max(1, _CCM_BLOCK_VALUES // (lib - start))
+        for first in range(0, n_points, n_rows):
+            last = min(first + n_rows, n_points)
+            dist = _distances(manifold, first, last, start, lib)
+            _merge_nearest(near_bits[first:last], near_i[first:last], dist, start)
+        start = lib
+        weights = _neighbour_weights(near_d)
         for skill, target in zip(skills, targets):
-            skill[int(lib)] = _cross_map_skill(near_d, near_i, target)
+            skill[int(lib)] = _cross_map_skill(weights, near_i, target)
     return [
         CcmResult((x.name, y.name), embed_dim, lag, sizes, skill, max(skill.values()))
         for x, skill in zip(xs, skills)

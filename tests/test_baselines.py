@@ -448,6 +448,10 @@ def test_ccm_is_affine_invariant():
 def test_default_library_sizes_counting():
     assert default_library_sizes(999) == (10, 109, 208, 306, 405, 504, 603, 701, 800, 899)
     assert default_library_sizes(20) == (10, 11, 12, 13, 14, 15, 16, 17, 18)
+    # Below 22 points the rounded points repeat; below 12 they run down from 10.
+    assert default_library_sizes(12) == (10,)
+    assert default_library_sizes(11) == (9, 10)
+    assert default_library_sizes(4) == (3, 4, 5, 6, 7, 8, 9, 10)
 
 
 def test_ccm_validation():
@@ -536,10 +540,7 @@ def _tie_free_channels(n):
     return [scale_unit_range(s) for s in (four.get("X"), four.get("Y"), noise)]
 
 
-@pytest.mark.parametrize("n", [120, 600])
-def test_ccm_matches_full_matrix_search_bit_for_bit(n):
-    # 120 samples fit in one chunk; 600 need several.  The custom sizes
-    # sit off the chunk edges (256, 512) and one chunk spans two of them.
+def _assert_ccm_matches_full_matrix(n):
     chans = _tie_free_channels(n)
     custom = (7, 100, 300, 511, 560) if n == 600 else (5, 50, 51, 90)
     for x, y in ((chans[0], chans[1]), (chans[2], chans[0])):
@@ -553,11 +554,7 @@ def test_ccm_matches_full_matrix_search_bit_for_bit(n):
                     assert dict(got.skill) == want
 
 
-@pytest.mark.parametrize("n", [120, 600])
-@pytest.mark.parametrize("embed_dim, lag", [(1, 1), (2, 1), (3, 2)])
-def test_ccm_many_matches_full_matrix_search_per_target(n, embed_dim, lag):
-    # One neighbour search on the manifold of y scores every target; each
-    # skill has the bits of the all-pairs search for that target alone.
+def _assert_ccm_many_matches_full_matrix(n, embed_dim, lag):
     four = gen_four_species(n)
     noise = gen_white_noise(n, derive_seed(9, "oracle"))
     chans = [scale_unit_range(s) for s in (*four.series, noise)]
@@ -573,6 +570,32 @@ def test_ccm_many_matches_full_matrix_search_per_target(n, embed_dim, lag):
                 assert dict(result.skill) == want
                 assert result.max_r2 == max(want.values())
                 assert result == ccm(x, y, embed_dim, lag, sizes)
+
+
+@pytest.mark.parametrize("n", [120, 600])
+def test_ccm_matches_full_matrix_search_bit_for_bit(n):
+    # At 120 samples every default step is one block of rows; at 600 a
+    # step spans several.  The custom sizes make steps of one column
+    # (50 to 51) and of hundreds.
+    _assert_ccm_matches_full_matrix(n)
+
+
+@pytest.mark.parametrize("n", [120, 600])
+@pytest.mark.parametrize("embed_dim, lag", [(1, 1), (2, 1), (3, 2)])
+def test_ccm_many_matches_full_matrix_search_per_target(n, embed_dim, lag):
+    # One neighbour search on the manifold of y scores every target; each
+    # skill has the bits of the all-pairs search for that target alone.
+    _assert_ccm_many_matches_full_matrix(n, embed_dim, lag)
+
+
+@pytest.mark.parametrize("n", [120, 600])
+def test_ccm_blocks_of_seven_distances_keep_the_full_matrix_bits(monkeypatch, n):
+    # Block edges fall inside every library step: one row per block on
+    # steps of more than 7 columns, several rows on the one-column step.
+    monkeypatch.setattr(baselines, "_CCM_BLOCK_VALUES", 7)
+    _assert_ccm_matches_full_matrix(n)
+    for embed_dim, lag in ((1, 1), (2, 1), (3, 2)):
+        _assert_ccm_many_matches_full_matrix(n, embed_dim, lag)
 
 
 def test_ccm_many_errors_follow_the_manifold_not_the_targets():
@@ -594,11 +617,11 @@ def test_ccm_many_errors_follow_the_manifold_not_the_targets():
         ccm_many([other, gen_white_noise(99, derive_seed(9, 3))], noise)
 
 
-@pytest.mark.parametrize("chunk", [baselines._CCM_CHUNK, 7, 1])
-def test_ccm_ties_go_to_the_lower_library_index(monkeypatch, chunk):
+@pytest.mark.parametrize("block", [baselines._CCM_BLOCK_VALUES, 7, 1])
+def test_ccm_ties_go_to_the_lower_library_index(monkeypatch, block):
     # Values on a 1/8 grid put many equal distances at the neighbour bound;
-    # the result follows the lowest-index rule whatever the chunk width.
-    monkeypatch.setattr(baselines, "_CCM_CHUNK", chunk)
+    # the result follows the lowest-index rule whatever the block size.
+    monkeypatch.setattr(baselines, "_CCM_BLOCK_VALUES", block)
     coarse = [
         Series(s.name, np.round(s.values * 8.0) / 8.0) for s in _tie_free_channels(300)
     ]
@@ -612,15 +635,18 @@ def test_ccm_ties_go_to_the_lower_library_index(monkeypatch, chunk):
             assert dict(got.skill) == want
 
 
-def test_ccm_memory_is_bounded_by_the_chunk():
-    # The all-pairs search peaked at 289 MB here (an n x n x E tensor).
-    t_len = 3000
-    x = gen_white_noise(t_len, derive_seed(9, "mem", 0))
-    y = gen_white_noise(t_len, derive_seed(9, "mem", 1))
-    tracemalloc.start()
-    try:
-        ccm(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * t_len * baselines._CCM_CHUNK * 8
+def test_ccm_memory_is_linear_in_t_plus_one_block():
+    # At T=3000 the all-pairs search (an n x n x E tensor) peaked at 289 MB
+    # and a search over all rows, 256 library columns at a time, at 26 MB.
+    # The row blocks hold at most _CCM_BLOCK_VALUES distances whatever T,
+    # so only O(n * E) arrays grow with T.
+    for t_len in (3000, 12000):
+        x = gen_white_noise(t_len, derive_seed(9, "mem", 0))
+        y = gen_white_noise(t_len, derive_seed(9, "mem", 1))
+        tracemalloc.start()
+        try:
+            ccm(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * t_len + 8 * 8 * baselines._CCM_BLOCK_VALUES, t_len
