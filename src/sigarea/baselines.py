@@ -96,7 +96,6 @@ class GrangerResult:
     pair: tuple[str, str]
     per_lag_p: Mapping[int, float]
     min_p: float
-    significant: bool
 
     __reduce__ = _reduce_through_init
 
@@ -194,7 +193,9 @@ def granger_many(
         F = ((SSR_r - SSR_u) / tau) / (SSR_u / (T_eff - 2 tau - 1))
 
     is scored against the F(tau, T_eff - 2 tau - 1) upper tail.  min_p is
-    the minimum over lags, uncorrected.  The restricted model reads only x,
+    the minimum over lags, uncorrected: on independent white noise at
+    T=1000 and tau_max=10, min_p < 0.05 in about 16% of pairs, where each
+    lag's own test rejects about 5%.  The restricted model reads only x,
     so it is fitted once per lag and shared by every driver; each result
     has the bits granger(x, y) gives alone.  Every driver must have len(x)
     (LengthMismatch).  A rank-deficient restricted design (constant input,
@@ -241,10 +242,10 @@ def granger_many(
                 f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
                 p_values[tau] = f_upper_tail(f_stat, tau, df2)
     results = []
-    for y, p_values in zip(ys, per_lag):
-        min_p = min(p_values.values())
-        results.append(GrangerResult((x.name, y.name), p_values, min_p, min_p < 0.05))
-    return results
+    return [
+        GrangerResult((x.name, y.name), p_values, min(p_values.values()))
+        for y, p_values in zip(ys, per_lag)
+    ]
 
 
 def granger(x: Series, y: Series, tau_max: int = 10) -> GrangerResult:

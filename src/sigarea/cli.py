@@ -8,28 +8,25 @@ Subcommands:
   tssavr <csv> --x A --y B         one ordered pair's variance ratio
   baseline granger|ccm <csv> --x A --y B
 
-ssad runs the pair's band test through the same code as analyze, seeded
-from the sorted pair names, so swapping --x and --y prints the exact
-negation; it takes no shift flags and runs no TS-SAVR.
+Every single-pair command prints the value analyze writes on row (A, B) of
+pairs.csv, from the same prepared channels: ssad its ssad, tssavr its
+ts_savr and direction, baseline granger its granger_min_p (does A help
+predict B?) and baseline ccm its ccm_max_r2, the baselines at their
+default --maxlag, --embed-dim and --lag.  ssad seeds the band test from
+the sorted pair names, as analyze does, so swapping --x and --y prints
+the exact negation; it takes no shift flags and runs no TS-SAVR.
 generate takes --tau-d only for two_species_bidir.
-baseline reads the raw channels; analyze's baseline columns read the
-prepared ones, so they can differ in the last digits, or entirely under
---difference-order.  analyze's (x, y) granger_min_p is baseline granger
---x y --y x, and its ccm_max_r2 is baseline ccm --x x --y y.
 
 Exit codes: 0 success, 1 usage or parameter error (a bad flag value, a
 generator parameter the system does not take, one channel as both --x and
 --y), 2 data error (unreadable or malformed input, under two channels,
-analysis failure, out of memory).  The default seed is 0, or the value of
-the SIGAREA_SEED environment variable when set; an explicit --seed always
-wins.
+analysis failure, out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from . import io as sio
@@ -58,16 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SIGAREA_SEED")
-    if raw is None:
-        return RunConfig().seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"SIGAREA_SEED must be an integer, got {raw!r}") from None
-
-
 def _add_run_flags(parser: argparse.ArgumentParser, shuffles: bool, taus: bool) -> None:
     # Each flag is named after the RunConfig field it sets and defaults to it.
     defaults = RunConfig()
@@ -80,7 +67,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, shuffles: bool, taus: bool) 
                             help="window step; default = window length (tiling)")
         parser.add_argument("--rho", type=float, default=defaults.rho)
         parser.add_argument("--alpha", type=float, default=defaults.alpha)
-        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--seed", type=int, default=defaults.seed)
     if taus:
         parser.add_argument("--tau-min", type=int, default=defaults.tau_min)
         parser.add_argument("--tau-max", type=int, default=defaults.tau_max)
@@ -102,9 +89,6 @@ def _build_parser() -> _Parser:
                           "system, 1000 otherwise)")
     gen.add_argument("--tau-d", type=int, default=0, choices=BIDIR_TAUS,
                      help="X->Y delay; two_species_bidir only")
-    gen.add_argument("--seed", type=int, default=None,
-                     help="accepted for interface symmetry; the map "
-                          "generators are deterministic")
     gen.add_argument("--out", required=True, metavar="FILE")
     gen.set_defaults(handler=_generate)
 
@@ -139,6 +123,7 @@ def _build_parser() -> _Parser:
                       help="largest regression lag (granger)")
     base.add_argument("--embed-dim", type=int, default=2)
     base.add_argument("--lag", type=int, default=1)
+    _add_run_flags(base, shuffles=False, taus=False)
     base.set_defaults(handler=_baseline)
     return parser
 
@@ -154,13 +139,9 @@ def _generate(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # A field the subcommand has no flag for keeps its RunConfig default;
-    # SIGAREA_SEED is read only where an omitted --seed leaves it None.
+    # A field the subcommand has no flag for keeps its RunConfig default.
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    given = {k: v for k, v in vars(args).items() if k in fields}
-    if "seed" in given and given["seed"] is None:
-        given["seed"] = _default_seed()
-    return RunConfig(**given)
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _analyze(args: argparse.Namespace) -> int:
@@ -172,15 +153,13 @@ def _analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _channel_pair(args: argparse.Namespace, prepared: bool = True):
-    """The --x and --y channels, prepared as analyze prepares them unless
-    prepared=False; one channel as both raises ValueError."""
-    panel, _ = sio.read_csv(args.csv, args.interp_step if prepared else None)
+def _channel_pair(args: argparse.Namespace):
+    """The --x and --y channels, prepared as analyze prepares them; one
+    channel as both raises ValueError."""
+    panel, _ = sio.read_csv(args.csv, args.interp_step)
     pair = [panel.get(name) for name in (args.x, args.y)]
     _name_ordered(*pair)
-    if prepared:
-        pair = [prepare_channel(s, args.difference_order) for s in pair]
-    return pair
+    return [prepare_channel(s, args.difference_order) for s in pair]
 
 
 def _ssad(args: argparse.Namespace) -> int:
@@ -201,9 +180,10 @@ def _tssavr(args: argparse.Namespace) -> int:
 
 
 def _baseline(args: argparse.Namespace) -> int:
-    x, y = _channel_pair(args, prepared=False)
+    x, y = _channel_pair(args)
     if args.method == "granger":
-        result = granger(x, y, args.maxlag)
+        # Does x help predict y?  analyze's (x, y) column and ccm(x, y) ask that too.
+        result = granger(y, x, args.maxlag)
         for lag in sorted(result.per_lag_p):
             print(f"lag {lag} p {sio.format_float(result.per_lag_p[lag])}")
         print(f"min_p {sio.format_float(result.min_p)}")

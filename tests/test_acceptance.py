@@ -243,9 +243,8 @@ def test_acceptance_09_baselines(sync_panel, capsys):
         assert ccm(noise_a, noise_b).max_r2 <= 0.3
 
 
-def test_acceptance_10_byte_identical_reports(tmp_path, capsys, monkeypatch):
+def test_acceptance_10_byte_identical_reports(tmp_path, capsys):
     with _verdict(10, capsys):
-        monkeypatch.delenv("SIGAREA_SEED", raising=False)
         csv_path = str(tmp_path / "panel.csv")
         assert cli.main(
             ["generate", "two_species_sync", "--steps", "300", "--out", csv_path]

@@ -7,6 +7,7 @@ table itself cannot go stale.
 
 import functools
 import itertools
+import math
 import tracemalloc
 from contextlib import contextmanager
 
@@ -147,7 +148,6 @@ def test_granger_flags_logistic_driver(sync_pair):
     res = granger(ys, xs)
     assert res.pair == ("Y", "X")
     assert res.min_p < 1e-4
-    assert res.significant
     assert set(res.per_lag_p) == set(range(1, 11))
     assert res.min_p == min(res.per_lag_p.values())
 
@@ -171,14 +171,35 @@ def test_granger_nails_a_pure_lagged_copy():
     assert granger(Series("y3", lag3), x, tau_max=5).min_p < 1e-6
 
 
-def test_granger_false_positive_rate_on_noise():
-    clean = 0
-    for k in range(100):
+def test_granger_false_positive_rate_on_noise(capsys):
+    # The rate of min_p < 0.05 on independent white noise (T=1000,
+    # tau_max=10), measured over 10,000 pairs of the seed family
+    # derive_seed(b, "gn", k, 0|1), b in 100..199 and k in 0..99: it held in
+    # 1589 of them, a Monte-Carlo SE of 0.0037.
+    # min_p is the minimum of ten uncorrected p-values, so it rejects about
+    # three times as often as each lag's test alone.
+    rate, rate_se = 0.1589, 0.0037
+    n_pairs, alpha = 400, 0.05
+    lag1 = min_p = 0
+    for k in range(n_pairs):
         u = Series("u", standard_normal(1000, derive_seed(5, "gn", k, 0)))
         v = Series("v", standard_normal(1000, derive_seed(5, "gn", k, 1)))
-        if granger(u, v).min_p > 0.05:
-            clean += 1
-    assert clean >= 90
+        res = granger(u, v)
+        lag1 += res.per_lag_p[1] < alpha
+        min_p += res.min_p < alpha
+    with capsys.disabled():
+        print(
+            f"\ngranger on {n_pairs} white-noise pairs: lag-1 p < {alpha} in {lag1}, "
+            f"min_p < {alpha} in {min_p} (documented rate {rate})"
+        )
+    # Each lag's F-test is a level-alpha test: within 3 binomial SE of alpha.
+    nominal_se = math.sqrt(alpha * (1 - alpha) / n_pairs)
+    assert abs(lag1 / n_pairs - alpha) <= 3 * nominal_se
+    # The minimum over lags is not: its rate is the documented one, within
+    # 3 SE of this sample and the reference run combined, and far above alpha.
+    margin = 3 * math.hypot(math.sqrt(rate * (1 - rate) / n_pairs), rate_se)
+    assert abs(min_p / n_pairs - rate) <= margin
+    assert min_p / n_pairs > alpha + 3 * nominal_se
 
 
 def test_granger_validation():
@@ -229,8 +250,7 @@ def _per_pair_granger(x, y, tau_max=10):
             continue
         f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
         per_lag[tau] = f_upper_tail(f_stat, tau, df2)
-    min_p = min(per_lag.values())
-    return baselines.GrangerResult((x.name, y.name), per_lag, min_p, min_p < 0.05)
+    return baselines.GrangerResult((x.name, y.name), per_lag, min(per_lag.values()))
 
 
 def _lagged_copy(s, lag):

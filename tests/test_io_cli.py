@@ -323,8 +323,7 @@ def test_alphanumeric_names_keep_their_trace_file_names(name):
     assert _safe_name(name) == name
 
 
-def test_cli_defaults_are_run_config_defaults(monkeypatch):
-    monkeypatch.delenv("SIGAREA_SEED", raising=False)
+def test_cli_defaults_are_run_config_defaults():
     parser = cli._build_parser()
     for argv in (["analyze", "f.csv", "--out", "d"], ["ssad", "f.csv", "--x", "A", "--y", "B"]):
         assert cli._config_from_args(parser.parse_args(argv)) == RunConfig()
@@ -358,8 +357,7 @@ def test_cli_generate_default_steps(tmp_path):
     assert panel.length == 1000
 
 
-def test_cli_analyze_end_to_end(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SIGAREA_SEED", raising=False)
+def test_cli_analyze_end_to_end(tmp_path, capsys):
     csv_path = _sync_csv(tmp_path)
     out_dir = str(tmp_path / "run")
     code = cli.main(
@@ -374,8 +372,7 @@ def test_cli_analyze_end_to_end(tmp_path, capsys, monkeypatch):
     assert by_pair[("X", "Y")]["ssad"] > 0.3
 
 
-def test_cli_analyze_runs_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("SIGAREA_SEED", raising=False)
+def test_cli_analyze_runs_are_byte_identical(tmp_path):
     csv_path = _sync_csv(tmp_path, steps=200)
     args = [csv_path, "--n-shuffles", "100"]
     assert cli.main(["analyze", *args, "--out", str(tmp_path / "a")]) == 0
@@ -384,19 +381,38 @@ def test_cli_analyze_runs_are_byte_identical(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_cli_ssad_matches_discover(tmp_path, capsys):
-    csv_path = _sync_csv(tmp_path)
+@pytest.mark.parametrize("order", [0, 1])
+def test_cli_single_pair_commands_print_analyze_rows(tmp_path, capsys, order):
+    # One rule for every single-pair command: it prints the value analyze
+    # writes on its ordered pair's row, read from the same prepared channels.
+    # An asymmetric shift range gives each ordering its own TS-SAVR verdict.
+    path = str(tmp_path / "four.csv")
+    assert cli.main(["generate", "four_species", "--steps", "300", "--out", path]) == 0
+    prep = ["--difference-order", str(order)]
+    band = ["--n-shuffles", "20", "--seed", "3"]
+    taus = ["--tau-min", "-3", "--tau-max", "7"]
+    out = tmp_path / "run"
+    assert cli.main(
+        ["analyze", path, "--out", str(out), "--granger", "--ccm", *prep, *band, *taus]
+    ) == 0
+    with open(out / "pairs.csv", newline="") as handle:
+        rows = {(row["i"], row["j"]): row for row in csv.DictReader(handle)}
+    assert len(rows) == 12
+    commands = (
+        (["ssad"], band, lambda row: row["ssad"]),
+        (["tssavr"], taus, lambda row: f"{row['ts_savr']} {row['direction']}"),
+        (["baseline", "granger"], [], lambda row: f"min_p {row['granger_min_p']}"),
+        (["baseline", "ccm"], [], lambda row: f"max_r2 {row['ccm_max_r2']}"),
+    )
     capsys.readouterr()
-    printed = {}
-    for x, y in (("X", "Y"), ("Y", "X")):
-        args = ["ssad", csv_path, "--x", x, "--y", y, "--n-shuffles", "100", "--seed", "3"]
-        assert cli.main(args) == 0
-        printed[(x, y)] = capsys.readouterr().out.strip()
-    panel, _ = read_csv(csv_path)
-    result = discover(panel, RunConfig(n_shuffles=100, seed=3))
-    for report in result.reports:
-        assert printed[report.pair] == format_float(report.ssad)
-    assert float(printed[("Y", "X")]) == -float(printed[("X", "Y")])
+    for (x, y), row in rows.items():
+        assert row["error"] == ""
+        for command, flags, column in commands:
+            argv = [*command, path, "--x", x, "--y", y, *prep, *flags]
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().out.splitlines()[-1] == column(row), argv
+    for (x, y), row in rows.items():
+        assert float(row["ssad"]) == -float(rows[(y, x)]["ssad"])
 
 
 def test_cli_ssad_checks_rho_at_every_window_before_shuffling(tmp_path, capsys, monkeypatch):
@@ -526,26 +542,10 @@ def test_cli_tssavr_output_format(tmp_path, capsys):
     assert label == "X->Y"
 
 
-def test_cli_tssavr_matches_analyze_in_each_ordering(tmp_path, capsys):
-    # An asymmetric shift range gives each ordering its own verdict.
-    path = str(tmp_path / "four.csv")
-    assert cli.main(["generate", "four_species", "--steps", "300", "--out", path]) == 0
-    taus = ["--tau-min", "-3", "--tau-max", "7"]
-    out = str(tmp_path / "run")
-    assert cli.main(["analyze", path, "--out", out, "--n-shuffles", "20", *taus]) == 0
-    capsys.readouterr()
-    with open(tmp_path / "run" / "pairs.csv", newline="") as handle:
-        rows = {(row["i"], row["j"]): row for row in csv.DictReader(handle)}
-    for x, y in (("X", "Y"), ("Y", "X"), ("V", "Z"), ("Z", "V")):
-        assert cli.main(["tssavr", path, "--x", x, "--y", y, *taus]) == 0
-        row = rows[(x, y)]
-        assert capsys.readouterr().out == f"{row['ts_savr']} {row['direction']}\n"
-
-
 def test_cli_baseline_output_format(tmp_path, capsys):
     csv_path = _sync_csv(tmp_path)
     capsys.readouterr()
-    assert cli.main(["baseline", "granger", csv_path, "--x", "Y", "--y", "X", "--maxlag", "3"]) == 0
+    assert cli.main(["baseline", "granger", csv_path, "--x", "X", "--y", "Y", "--maxlag", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("lag 1 p ")
@@ -557,39 +557,55 @@ def test_cli_baseline_output_format(tmp_path, capsys):
     assert float(lines[-1].split()[-1]) >= 0.9
 
 
-def test_cli_ccm_on_a_constant_target_prints_no_skill(tmp_path, capsys):
+def test_cli_baseline_on_a_constant_channel_is_a_data_error(tmp_path, capsys):
+    # baseline prepares its channels as analyze does, and a constant one
+    # cannot be scaled; analyze reports the same error on the pair's rows.
     noise = gen_white_noise(100, derive_seed(9, "flat"), "N")
     path = str(tmp_path / "flat.csv")
     write_csv(Panel((Series("F", np.full(100, 0.3)), noise)), path)
-    assert cli.main(["baseline", "ccm", path, "--x", "F", "--y", "N"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "max_r2 0"
+    out = tmp_path / "run"
+    assert cli.main(["analyze", path, "--out", str(out), "--n-shuffles", "20", "--ccm"]) == 0
+    with open(out / "pairs.csv", newline="") as handle:
+        errors = {row["error"] for row in csv.DictReader(handle)}
+    assert errors == {"ConstantSeries: series 'F' has zero range"}
+    capsys.readouterr()
+    for method in ("granger", "ccm"):
+        assert cli.main(["baseline", method, path, "--x", "F", "--y", "N"]) == 2
+        assert capsys.readouterr().err == "error: series 'F' has zero range\n"
 
 
-def test_cli_seed_env_and_flag_precedence(tmp_path, monkeypatch):
+def test_cli_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
+    # argv alone sets the seed: the environment variable that earlier
+    # versions read in place of an omitted --seed changes no byte now.
     csv_path = _sync_csv(tmp_path, steps=120)
-    monkeypatch.setenv("SIGAREA_SEED", "777")
-    out_env = str(tmp_path / "env_run")
-    assert cli.main(["analyze", csv_path, "--out", out_env, "--n-shuffles", "50"]) == 0
-    assert json.loads(
-        (tmp_path / "env_run" / "report.json").read_text()
-    )["config"]["seed"] == 777
+    former = f"{cli.__package__.upper()}_SEED"
+    outputs = []
+    for env in (None, "777"):
+        if env is None:
+            monkeypatch.delenv(former, raising=False)
+        else:
+            monkeypatch.setenv(former, env)
+        out = tmp_path / f"run_{env}"
+        assert cli.main(["analyze", csv_path, "--out", str(out), "--n-shuffles", "50"]) == 0
+        capsys.readouterr()
+        assert cli.main(["ssad", csv_path, "--x", "X", "--y", "Y", "--n-shuffles", "50"]) == 0
+        outputs.append(
+            [capsys.readouterr().out] + [p.read_bytes() for p in sorted(out.iterdir())]
+        )
+    assert outputs[0] == outputs[1]
+    report = json.loads((tmp_path / "run_777" / "report.json").read_text())
+    assert report["config"]["seed"] == RunConfig().seed
 
-    out_flag = str(tmp_path / "flag_run")
+    out_flag = tmp_path / "flag_run"
     assert cli.main(
-        ["analyze", csv_path, "--out", out_flag, "--n-shuffles", "50", "--seed", "5"]
+        ["analyze", csv_path, "--out", str(out_flag), "--n-shuffles", "50", "--seed", "5"]
     ) == 0
-    assert json.loads(
-        (tmp_path / "flag_run" / "report.json").read_text()
-    )["config"]["seed"] == 5
-
-    monkeypatch.setenv("SIGAREA_SEED", "not-a-number")
-    assert cli.main(["analyze", csv_path, "--out", str(tmp_path / "x"), "--n-shuffles", "50"]) == 1
-    # tssavr takes no seed, so it does not read the variable.
-    assert cli.main(["tssavr", csv_path, "--x", "X", "--y", "Y"]) == 0
+    assert json.loads((out_flag / "report.json").read_text())["config"]["seed"] == 5
+    # The generators are deterministic and take no seed.
+    assert cli.main(["generate", "four_species", "--seed", "5", "--out", csv_path]) == 1
 
 
-def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SIGAREA_SEED", raising=False)
+def test_cli_exit_codes(tmp_path, capsys):
     csv_path = _sync_csv(tmp_path, steps=120)
     capsys.readouterr()
 
