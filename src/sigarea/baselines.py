@@ -241,7 +241,6 @@ def granger_many(
                     continue
                 f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
                 p_values[tau] = f_upper_tail(f_stat, tau, df2)
-    results = []
     return [
         GrangerResult((x.name, y.name), p_values, min(p_values.values()))
         for y, p_values in zip(ys, per_lag)
@@ -281,10 +280,6 @@ class CcmResult:
 
 
 def _squared_pearson(pred: np.ndarray, actual: np.ndarray) -> float:
-    # A constant target carries no information; centring it leaves rounding
-    # noise, not zeros, which the denominator guard would let through.
-    if actual.max() == actual.min():
-        return 0.0
     pc = pred - pred.mean()
     ac = actual - actual.mean()
     denom = math.sqrt(float(pc @ pc) * float(ac @ ac))
@@ -382,8 +377,8 @@ def _neighbour_weights(d: np.ndarray) -> np.ndarray:
 def _cross_map_skill(w: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> float:
     """Skill of the w-weighted average of the targets at the neighbours idx."""
     near = targets[idx]
-    # Averages of equal targets carry no information; like a constant
-    # target, their rounding noise would pass the denominator guard.
+    # Averages of equal targets (a constant target's among them) carry no
+    # information; their rounding noise would pass the denominator guard.
     if near.max() == near.min():
         return 0.0
     pred = (w * near).sum(axis=1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sized
 
 import numpy as np
 
@@ -92,19 +92,22 @@ class DirectionVerdict:
         return (f"{i}<->{j}", f"{i}->{j}", f"{j}->{i}")[self.leads]
 
 
-def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[int, ...]:
+def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[range, range]:
+    """The negative and the positive shifts of [tau_min, tau_max], as ranges,
+    so that no check on them walks the range."""
     if tau_min > tau_max:
         raise ValueError("tau_min must not exceed tau_max")
-    taus = tuple(t for t in range(tau_min, tau_max + 1) if t != 0)
-    if not taus:
+    negative = range(tau_min, min(tau_max, -1) + 1)
+    positive = range(max(tau_min, 1), tau_max + 1)
+    if not negative and not positive:
         raise ValueError("shift range contains no nonzero tau")
-    return taus
+    return negative, positive
 
 
-def _check_sides(taus: tuple[int, ...], error: type[Exception]) -> None:
-    """Raise ``error`` unless at least 2 of the shifts lie on each side of
-    zero, as the sample variances of ts_savr's ratio need."""
-    if min(sum(t < 0 for t in taus), sum(t > 0 for t in taus)) < 2:
+def _check_sides(negative: Sized, positive: Sized, error: type[Exception]) -> None:
+    """Raise ``error`` unless at least 2 shifts lie on each side of zero, as
+    the sample variances of ts_savr's ratio need."""
+    if min(len(negative), len(positive)) < 2:
         raise error("variance ratio needs at least 2 shifts on each side of zero")
 
 
@@ -132,15 +135,26 @@ def shift_profile(
     has the bits of signed_area on the path (b[t], a[t + tau]).
     The truncated series are not re-scaled, so areas stay comparable
     across shifts.  A shift with |tau| >= T - 1 leaves under two samples
-    to trace a path through and raises ShiftTooLarge.  The mirror shifts
-    the range lacks come after it, for reversed(); each has the overlap of
-    a requested shift, so it cannot fail.
+    to trace a path through and raises ShiftTooLarge, naming the first
+    such shift of the range, before any area is computed.  The mirror
+    shifts the range lacks come after it, for reversed(); each has the
+    overlap of a requested shift, so it cannot fail.
     """
-    taus = _nonzero_taus(tau_min, tau_max)
+    negative, positive = _nonzero_taus(tau_min, tau_max)
     check_lengths(a, b)
+    t_len = len(a)
+    # The range is checked at its ends, so one far past the series costs
+    # nothing: the first negative shift, and the first positive shift from
+    # T - 1 on, are the first to leave fewer than 2 samples.
+    if negative and negative[0] <= 1 - t_len:
+        _shift_slices(t_len, negative[0])
+    if positive and positive[-1] >= t_len - 1:
+        _shift_slices(t_len, max(positive[0], t_len - 1))
+    taus = (*negative, *positive)
+    mirrors = [-t for t in taus if -t not in negative and -t not in positive]
     areas: dict[int, float] = {}
-    for tau in taus + tuple(-t for t in taus if -t not in taus):
-        head, tail = _shift_slices(len(a), tau)
+    for tau in (*taus, *mirrors):
+        head, tail = _shift_slices(t_len, tau)
         areas[tau] = _whole_area(a.values[head], b.values[tail])
     return ShiftProfile((a.name, b.name), taus, areas)
 
@@ -152,9 +166,9 @@ def ts_savr(profile: ShiftProfile) -> DirectionVerdict:
     with the n-1 denominator.  The verdict's leads cuts it: >= _HIGH (1.1)
     is i->j, <= _LOW (0.9) is j->i, anything between is mutual (i<->j).
     """
-    _check_sides(profile.taus, InsufficientData)
     neg = profile.side(positive=False)
     pos = profile.side(positive=True)
+    _check_sides(neg, pos, InsufficientData)
     var_pos = float(np.var(pos, ddof=1))
     if var_pos == 0.0:
         raise ZeroVariance(

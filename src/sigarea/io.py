@@ -148,13 +148,10 @@ def write_csv(panel: Panel, path: str, times: np.ndarray | None = None) -> None:
     if any(n != n.strip() for n in names):
         raise ValueError("a channel name with surrounding whitespace would not read back")
     header = (["time"] if times is not None else []) + list(names)
-    lines = [",".join(map(_csv_quote, header))]
     columns = [s.values for s in panel.series]
     if times is not None:
         columns = [np.asarray(times, dtype=np.float64)] + columns
-    for r in range(panel.length):
-        lines.append(",".join(format_float(col[r]) for col in columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_text(header, columns))
 
 
 # PairReport's fields in order, its pair split into i and j.
@@ -177,6 +174,19 @@ def _csv_cell(value) -> str:
     if isinstance(value, str):
         return _csv_quote(value)
     return format_float(value)
+
+
+def _csv_text(header, columns) -> str:
+    """CSV text: the header, then a line per row of the columns, each cell by
+    _csv_cell; a finite numpy column gets the same bytes in one fast pass."""
+    cells = (
+        [FLOAT_FORMAT % v for v in c.tolist()]
+        if isinstance(c, np.ndarray) and np.isfinite(c).all()
+        else [_csv_cell(v) for v in c]
+        for c in columns
+    )
+    lines = [",".join(map(_csv_quote, header)), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
 
 
 def _safe_name(name: str) -> str:
@@ -213,42 +223,36 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
 
     written: list[str] = []
+
+    def write(name: str, text: str) -> None:
+        path = os.path.join(out_dir, name)
+        _atomic_write(path, text)
+        written.append(path)
+
+    records = [_pair_record(r) for r in result.reports]
     document = {
         # The band always pools; the key stays until the report digests are
         # next re-recorded, so report.json keeps its bytes.
         "config": {**dataclasses.asdict(result.config), "pooled": True},
         "nodes": list(result.nodes),
         "pairs": [
-            {k: v for k, v in _pair_record(r).items()
-             if v is not None or k in _JSON_ALWAYS}
-            for r in result.reports
+            {k: v for k, v in record.items() if v is not None or k in _JSON_ALWAYS}
+            for record in records
         ],
         "graph": {
             "nodes": list(result.nodes),
             "edges": [dataclasses.asdict(e) for e in result.edges],
         },
     }
-    report_path = os.path.join(out_dir, "report.json")
-    _atomic_write(report_path, _to_json(document) + "\n")
-    written.append(report_path)
-
-    pairs_lines = [",".join(_PAIR_COLUMNS)]
-    for report in result.reports:
-        pairs_lines.append(",".join(map(_csv_cell, _pair_record(report).values())))
-    pairs_path = os.path.join(out_dir, "pairs.csv")
-    _atomic_write(pairs_path, "\n".join(pairs_lines) + "\n")
-    written.append(pairs_path)
-
+    write("report.json", _to_json(document) + "\n")
+    write("pairs.csv", _csv_text(_PAIR_COLUMNS, zip(*(r.values() for r in records))))
+    header = ("window_index", "actual_area", "mu", "lower", "upper")
     for pair, trace in result.traces.items():
-        name = f"trace_{_safe_name(pair[0])}_{_safe_name(pair[1])}.csv"
         band = trace.band
-        columns = (trace.actual.values, band.mu, band.lower, band.upper)
-        rows = ["window_index,actual_area,mu,lower,upper"]
-        for w in range(trace.actual.count):
-            rows.append(",".join([str(w + 1)] + [format_float(arr[w]) for arr in columns]))
-        trace_path = os.path.join(out_dir, name)
-        _atomic_write(trace_path, "\n".join(rows) + "\n")
-        written.append(trace_path)
+        index = np.arange(1, trace.actual.count + 1)
+        columns = (index, trace.actual.values, band.mu, band.lower, band.upper)
+        name = f"trace_{_safe_name(pair[0])}_{_safe_name(pair[1])}.csv"
+        write(name, _csv_text(header, columns))
     return written
 
 

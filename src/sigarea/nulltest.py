@@ -17,6 +17,7 @@ their index, so the result does not depend on how many threads ran it.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -272,6 +273,29 @@ def confidence_band(
     sigma = np.sqrt(var)
     m = multiplier(t, rho, alpha)
     return NullBand(mu - sigma * m, mu + sigma * m, mu, sigma)
+
+
+def _exact_sigma(a: Series, b: Series, window_length: int) -> float:
+    """Standard deviation of one window's signed area under the null of
+    null_ensemble, a and b shuffled by independent uniform permutations,
+    whose mean area is exactly 0 (Hoeffding 1951).  It is the same at every
+    window and stride.
+
+    With x = b and y = a, a window of L samples has 2A = x^T C y for
+    C = S - S^T, S the cyclic shift of L points (the closed polygon's
+    area), so C1 = 0 and 1^T C = 0.  A shuffled window of a series has
+    covariance m2 K, m2 the series' centred second moment and
+    K = (T I - J) / (T - 1), J all ones; hence
+
+        sigma^2 = m2(a) m2(b) tr(C K C^T K) / 4,
+
+    and as C J = J C = 0 the trace is (T / (T - 1))^2 tr(C C^T)
+    = 2 L (T / (T - 1))^2, one number per (L, T).
+    """
+    check_windows(a, b, window_length, 1)
+    t_len = len(a)
+    trace = 2 * window_length * (t_len / (t_len - 1)) ** 2
+    return 0.5 * math.sqrt(float(np.var(a.values)) * float(np.var(b.values)) * trace)
 
 
 def ssad(actual: AreaSequence, band: NullBand) -> SsadResult:

@@ -75,7 +75,7 @@ class RunConfig:
         _check_window(self.window_length, self.effective_stride)
         _check_n_shuffles(self.n_shuffles)
         multiplier(1, self.rho, self.alpha)
-        _check_sides(_nonzero_taus(self.tau_min, self.tau_max), ValueError)
+        _check_sides(*_nonzero_taus(self.tau_min, self.tau_max), ValueError)
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1] when given")
         _check_difference_order(self.difference_order)

@@ -132,7 +132,8 @@ def interpolate_uniform(
 
     The grid runs up to the largest point not exceeding times[-1], so grid
     points that coincide with input samples reproduce them exactly.  A step
-    that is not finite and positive raises ValueError, a parameter error.
+    that is not finite and positive, or so small that no array could index
+    its grid, raises ValueError, a parameter error.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -145,8 +146,14 @@ def interpolate_uniform(
     if np.any(np.diff(t) <= 0):
         raise NonMonotonicTime("time stamps must be strictly increasing")
     # Tiny relative slack so an endpoint that lands on the grid in exact
-    # arithmetic is not dropped by float rounding.
-    count = int(np.floor((t[-1] - t[0]) / step * (1.0 + 1e-12))) + 1
+    # arithmetic is not dropped by float rounding.  In Python floats, a step
+    # far below the span gives inf here, not a warning.
+    steps = (float(t[-1]) - float(t[0])) / float(step) * (1.0 + 1e-12)
+    if not steps < np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+        raise ValueError(
+            f"step {step} is too small: no array can index its grid on [{t[0]}, {t[-1]}]"
+        )
+    count = int(steps) + 1
     if count < 2:
         raise EmptyRange(
             f"step {step} fits fewer than 2 grid points in [{t[0]}, {t[-1]}]"

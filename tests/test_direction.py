@@ -17,6 +17,7 @@ from sigarea import (
     signed_area,
     ts_savr,
 )
+from sigarea import direction
 from sigarea.rng import derive_seed
 
 
@@ -150,6 +151,27 @@ def test_mirrored_profile_fails_with_the_requested_range_error(tau_min, tau_max)
         with pytest.raises(ShiftTooLarge) as caught:
             shift_profile(x, y, tau_min, tau_max)
         assert str(caught.value) == _RANGE_ERRORS[(tau_min, tau_max)]
+
+
+def test_a_range_past_the_series_fails_before_any_area(monkeypatch):
+    # The range is checked against the series at its ends, before the first
+    # area and without walking it, so a range of 6e6 shifts fails at once.
+    areas = []
+    whole_area = direction._whole_area
+    monkeypatch.setattr(
+        direction, "_whole_area", lambda a, b: areas.append(a.size) or whole_area(a, b)
+    )
+    a = scale_unit_range(gen_white_noise(8, derive_seed(0, 0), "a"))
+    b = scale_unit_range(gen_white_noise(8, derive_seed(0, 1), "b"))
+    ranges = {**_RANGE_ERRORS, (-3_000_000, 3_000_000):
+              "|tau| = 3000000 leaves 0 of 8 samples aligned, fewer than 2"}
+    for (tau_min, tau_max), message in ranges.items():
+        with pytest.raises(ShiftTooLarge) as caught:
+            shift_profile(a, b, tau_min, tau_max)
+        assert str(caught.value) == message
+    assert areas == []
+    shift_profile(a, b, -3, 6)  # nine shifts and the mirrors of 4, 5 and 6
+    assert sorted(areas) == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
 
 
 @pytest.mark.parametrize("swapped", [False, True])

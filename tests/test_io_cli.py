@@ -659,10 +659,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["tssavr", *pair, "--tau-min", "2", "--tau-max", "9"],
         ["tssavr", *pair, "--tau-min", "-1", "--tau-max", "5"],
         ["tssavr", str(timed), "--x", "X", "--y", "Y", "--interp-step", "0"],
+        # A grid no array could index.
+        ["analyze", str(timed), *out, "--interp-step", "5e-324"],
         # Non-finite parameters are usage errors too, not data errors.
         ["ssad", *pair, "--rho", "nan"],
         ["analyze", csv_path, *out, "--rho", "inf"],
         ["analyze", csv_path, *out, "--alpha", "nan"],
+        # RunConfig calls the check of the module that owns each rule.
+        ["analyze", csv_path, *out, "--stride", "0"],
+        ["analyze", csv_path, *out, "--n-shuffles", "1"],
+        ["analyze", csv_path, *out, "--difference-order", "-1"],
         # A window of two samples is one chord and encloses no area.
         ["analyze", csv_path, *out, "--window-length", "2"],
         ["ssad", *pair, "--window-length", "2"],
@@ -681,6 +687,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli.main(["analyze", str(timed), *out, "--interp-step", step]) == 1
         assert capsys.readouterr().err == "error: step must be a finite positive number\n"
     assert not os.path.exists(out[1])  # no analyze got as far as its pairs
+
+    # A shift range far past the series is a data error, found at once.
+    far = ["--tau-min", "-3000000", "--tau-max", "3000000"]
+    assert cli.main(["tssavr", str(timed), "--x", "X", "--y", "Y", *far]) == 2
+    assert capsys.readouterr().err == (
+        "error: |tau| = 3000000 leaves 0 of 4 samples aligned, fewer than 2\n"
+    )
 
     single = tmp_path / "single.csv"
     single.write_text("A\n1\n2\n3\n")

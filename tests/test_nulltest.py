@@ -6,6 +6,7 @@ pooled running moments are cross-checked against a naive per-window
 recomputation that shares no code with the implementation.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -22,17 +23,19 @@ from sigarea import (
     NullBand,
     Series,
     confidence_band,
+    gen_four_species,
     gen_white_noise,
     multiplier,
     null_ensemble,
     scale_unit_range,
     shuffle,
+    signed_area,
     signed_area_sequence,
     ssad,
     ssad_pair_detail,
 )
-from sigarea import nulltest
-from sigarea.nulltest import _BLOCK_VALUES, _THREAD_MIN_LENGTH
+from sigarea import nulltest, signature
+from sigarea.nulltest import _BLOCK_VALUES, _THREAD_MIN_LENGTH, _exact_sigma
 from sigarea.rng import derive_seed, permutation
 
 M1_FROZEN = 4.017687416608669
@@ -360,6 +363,75 @@ def test_null_ensemble_grand_mean_near_zero():
     b = scale_unit_range(gen_white_noise(500, derive_seed(3, "ge", 1)))
     ens = null_ensemble(a, b, 10, 200, derive_seed(3, "ge", 2), stride=10)
     assert abs(ens.mean()) <= 3.0 * ens.std(ddof=1) / math.sqrt(ens.size)
+
+
+def _enumerated_null(a, b, window_length):
+    """Mean and standard deviation of each stride-1 window's area over all
+    (T!)^2 pairs of permutations of a and of b: the exact null, streamed one
+    permutation of a at a time against every permutation of b."""
+    perms = np.array(list(itertools.permutations(range(a.size))))
+    b_rows = b[perms]
+    total = squares = 0.0
+    for p in perms:
+        a_rows = np.broadcast_to(a[p], b_rows.shape)
+        areas = signature._window_areas(a_rows, b_rows, window_length, 1)
+        total = total + areas.sum(axis=0)
+        squares = squares + (areas * areas).sum(axis=0)
+    mean = total / len(perms) ** 2
+    return mean, np.sqrt(squares / len(perms) ** 2 - mean * mean)
+
+
+@pytest.mark.parametrize("t_len, window_length", [(4, 3), (5, 3), (5, 4), (6, 4)])
+def test_exact_sigma_is_every_windows_enumerated_null_sd(t_len, window_length):
+    # Every window of every stride is a stride-1 window, so one sigma at
+    # each of them is one sigma at any stride.
+    a = gen_white_noise(t_len, derive_seed(11, "exact", 0)).values + 3.0
+    b = gen_white_noise(t_len, derive_seed(11, "exact", 1)).values
+    sigma = _exact_sigma(Series("a", a), Series("b", b), window_length)
+    mean, sd = _enumerated_null(a, b, window_length)
+    assert mean.size == t_len - window_length + 1
+    assert np.all(np.abs(mean) <= 1e-12 * sigma)
+    np.testing.assert_allclose(sd, sigma, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("stride", [10, 1])
+def test_exact_sigma_agrees_with_the_shuffle_band_at_every_stride(stride):
+    # The band's last sigma pools all N x W shuffled areas; its rows are
+    # independent, so their mean squared deviations give its standard error.
+    four = gen_four_species(1000)
+    a, b = (scale_unit_range(four.get(name)) for name in ("X", "Y"))
+    ens = null_ensemble(a, b, 10, 4000, seed=0, stride=stride)
+    band = confidence_band(ens)
+    per_row = ((ens - band.mu[-1]) ** 2).mean(axis=1)
+    se = per_row.std(ddof=1) / math.sqrt(per_row.size) / (2.0 * band.sigma[-1])
+    assert abs(band.sigma[-1] - _exact_sigma(a, b, 10)) <= 3.0 * se
+
+
+def test_exact_sigma_is_the_trace_formula_and_scales_with_the_moments():
+    # sigma = sqrt(m2(a) m2(b) tr(C K C^T K)) / 2, with C read off
+    # signed_area at unit vectors (2A = x^T C y on the path (x, y)) and
+    # K = (T I - J) / (T - 1).
+    for t_len, window_length in ((3, 3), (12, 5), (40, 10)):
+        a = gen_white_noise(t_len, derive_seed(12, "trace", 0), "a")
+        b = gen_white_noise(t_len, derive_seed(12, "trace", 1), "b")
+        eye = np.eye(window_length)
+        c = 2.0 * np.array(
+            [[signed_area(np.column_stack([x, y])) for y in eye] for x in eye]
+        )
+        k = (t_len * eye - 1.0) / (t_len - 1)
+        trace = np.trace(c @ k @ c.T @ k)
+        m2 = np.var(a.values) * np.var(b.values)
+        sigma = _exact_sigma(a, b, window_length)
+        assert sigma == pytest.approx(0.5 * math.sqrt(m2 * trace), rel=1e-12)
+        # Shifts leave it, and a factor on either channel scales it.
+        for scaled, factor in (
+            ((Series("a", 2.5 * a.values - 7.0), b), 2.5),
+            ((a, Series("b", -0.1 * b.values)), 0.1),
+            ((b, a), 1.0),
+        ):
+            assert _exact_sigma(*scaled, window_length) == pytest.approx(
+                factor * sigma, rel=1e-12
+            )
 
 
 def _band(lower, upper):

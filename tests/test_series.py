@@ -126,6 +126,10 @@ def test_interpolate_uniform_errors():
     for step in (-1.0, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite positive"):
             interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), step)
+    # A grid too long for any array to index, with no overflow warning.
+    for step in (5e-324, 1e-300):
+        with pytest.raises(ValueError, match="^step .* is too small: no array can index"):
+            interpolate_uniform(np.array([0.0, 2.0]), np.array([0.0, 1.0]), step)
 
 
 def test_shuffle_preserves_multiset_and_is_deterministic():
