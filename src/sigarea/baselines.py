@@ -108,11 +108,6 @@ class GrangerResult:
         )
 
 
-def _lag_matrix(values: np.ndarray, tau: int) -> np.ndarray:
-    t_len = values.size
-    return np.column_stack([values[tau - d : t_len - d] for d in range(1, tau + 1)])
-
-
 def _ssr(design: np.ndarray, target: np.ndarray) -> tuple[float, int]:
     beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ beta
@@ -195,9 +190,11 @@ def granger_many(
     is scored against the F(tau, T_eff - 2 tau - 1) upper tail.  min_p is
     the minimum over lags, uncorrected: on independent white noise at
     T=1000 and tau_max=10, min_p < 0.05 in about 16% of pairs, where each
-    lag's own test rejects about 5%.  The restricted model reads only x,
-    so it is fitted once per lag and shared by every driver; each result
-    has the bits granger(x, y) gives alone.  Every driver must have len(x)
+    lag's own test rejects about 5%.  A lag fills one design: intercept,
+    the lags of x, then each driver's lags in turn.  The restricted model
+    reads only x, so it is fitted once per lag, on the first tau + 1
+    columns, and shared by every driver; each result has the bits
+    granger(x, y) gives alone.  Every driver must have len(x)
     (LengthMismatch).  A rank-deficient restricted design (constant input,
     say) raises SingularDesign for the whole call; exact collinearity that
     only affects an unrestricted model (a constant driver, say) is resolved
@@ -225,17 +222,19 @@ def granger_many(
         for tau in range(1, tau_max + 1):
             target = x.values[tau:]
             n_rows = target.size
-            ones = np.ones((n_rows, 1))
-            own = _lag_matrix(x.values, tau)
-            ssr_r, rank_r = _ssr(np.hstack([ones, own]), target)
+            design = np.ones((n_rows, 2 * tau + 1))
+            for d in range(1, tau + 1):
+                design[:, d] = x.values[tau - d : t_len - d]
+            ssr_r, rank_r = _ssr(design[:, : tau + 1], target)
             if rank_r < tau + 1:
                 raise SingularDesign(
                     f"restricted design is rank-deficient at lag {tau}"
                 )
             df2 = n_rows - 2 * tau - 1
             for y, p_values in zip(ys, per_lag):
-                other = _lag_matrix(y.values, tau)
-                ssr_u, _ = _ssr(np.hstack([ones, own, other]), target)
+                for d in range(1, tau + 1):
+                    design[:, tau + d] = y.values[tau - d : t_len - d]
+                ssr_u, _ = _ssr(design, target)
                 if ssr_u == 0.0:
                     p_values[tau] = 0.0
                     continue
@@ -316,18 +315,16 @@ _PICKED = np.iinfo(np.int64).max
 def _distances(
     manifold: np.ndarray, first: int, last: int, start: int, stop: int
 ) -> np.ndarray:
-    """Distances from manifold rows first..last-1 to library columns start..stop-1."""
-    embed_dim = manifold.shape[1]
-    diffs = np.empty((last - first, stop - start, embed_dim))
-    # One subtraction per dimension: the same values as broadcasting over
-    # the short last axis, which runs about twice as slow.
-    for k in range(embed_dim):
-        np.subtract(
-            manifold[first:last, k, None], manifold[None, start:stop, k], out=diffs[:, :, k]
-        )
-    # einsum, not the squares summed over the last axis: from E = 3 on the
-    # two round differently, and the skill keeps einsum's bits.
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    """Distances from manifold rows first..last-1 to library columns
+    start..stop-1: sqrt(d_0^2 + ... + d_{E-1}^2), summed left to right."""
+    rows, cols = manifold[first:last], manifold[start:stop]
+    dist = rows[:, 0, None] - cols[None, :, 0]
+    np.square(dist, out=dist)
+    diff = np.empty_like(dist)
+    for k in range(1, manifold.shape[1]):
+        np.subtract(rows[:, k, None], cols[None, :, k], out=diff)
+        dist += np.square(diff, out=diff)
+    np.sqrt(dist, out=dist)
     own = np.arange(max(first, start), min(last, stop))
     dist[own - first, own - start] = np.inf  # a point is not its own neighbour
     return dist
@@ -400,7 +397,8 @@ def ccm_many(
     serve as neighbor candidates; every manifold point is predicted from
     its E+1 nearest library neighbors (itself excluded when inside the
     library) with weights exp(-d_k/d_1) normalized, d_1 the nearest
-    distance; ties at d_1 = 0 fall back to equal weights.  Among
+    distance; ties at d_1 = 0 fall back to equal weights.  A distance is
+    sqrt(d_0^2 + ... + d_{E-1}^2) over the E coordinates, in order.  Among
     equidistant candidates the lower library index wins, so the neighbours
     are fully determined by the data.  Skill is the squared Pearson
     correlation between predicted and actual x, and high skill is evidence
@@ -418,8 +416,8 @@ def ccm_many(
     since the previous size, each merged into a running set of the E+1
     nearest neighbours.  A step is searched in blocks of
     max(1, _CCM_BLOCK_VALUES // step columns) manifold rows, so beyond
-    O(n * E) arrays for n manifold points, memory holds one block of
-    O(_CCM_BLOCK_VALUES * E) values whatever T, rather than O(n^2 * E),
+    O(n * E) arrays for n manifold points, memory holds two blocks of
+    _CCM_BLOCK_VALUES values whatever T and E, rather than O(n^2 * E),
     until a step has more than _CCM_BLOCK_VALUES columns.  Columns past
     the largest library are never read.
     """

@@ -267,8 +267,8 @@ def _with_baselines(
 def _stage_one(
     prepared: Mapping[str, Series | str], pairs: list[tuple[str, str]], config: RunConfig
 ) -> list[tuple[PairReport, PairReport, PairTrace | None, GraphEdge | None]]:
-    """Stage 1 of each name-ordered pair (i, j), in the order given: the
-    band test, TS-SAVR of the shift profile in both orders, then theta.
+    """Stage 1 of each name-ordered pair (i, j), in the order given: TS-SAVR
+    of the shift profile in both orders, the band test, then theta.
 
     A pair gives its (i, j) and (j, i) reports, without baseline columns,
     its trace, and its graph edge: None when |SSAD| < theta, else (j, i) if
@@ -276,8 +276,8 @@ def _stage_one(
     edge=True when theta is set, |SSAD| >= theta and its verdict leads >= 0.
     A pair with a channel that could not be prepared gives two reports
     carrying that channel's error text (i's first), None and None; so does
-    a pair whose band test, shift profile or either TS-SAVR raises a
-    SigAreaError, with the text of the first one raised.
+    a pair whose shift profile, TS-SAVR or band test raises a SigAreaError,
+    with the first text raised: ShiftTooLarge where the band test fails too.
     """
     outcomes: list[tuple[PairReport, PairReport, PairTrace | None, GraphEdge | None]] = []
     for i, j in pairs:
@@ -285,9 +285,9 @@ def _stage_one(
         error = a if isinstance(a, str) else b if isinstance(b, str) else None
         if error is None:
             try:
-                fwd, rev, actual, band = pair_band_test(a, b, config)
                 profile = shift_profile(a, b, config.tau_min, config.tau_max)
                 verdicts = (ts_savr(profile), ts_savr(profile.reversed()))
+                fwd, rev, actual, band = pair_band_test(a, b, config)
             except SigAreaError as exc:
                 error = _error_text(exc)
         if error is not None:

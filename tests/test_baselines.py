@@ -36,7 +36,7 @@ from sigarea import (
     scale_unit_range,
 )
 from sigarea.rng import derive_seed, standard_normal
-from sigarea.baselines import _lag_matrix, _ssr
+from sigarea.baselines import _ssr
 from sigarea.series import Series
 
 # (df1, df2, f, upper tail) computed with mpmath.betainc at dps=40.
@@ -217,6 +217,12 @@ def test_granger_validation():
         granger(noise, gen_white_noise(99, derive_seed(8, 3)))
     with pytest.raises(ValueError):
         granger(noise, noise, tau_max=0)
+
+
+def _lag_matrix(values, tau):
+    """The tau lags of values as columns, lag 1 first, over rows tau+1..T."""
+    t_len = values.size
+    return np.column_stack([values[tau - d : t_len - d] for d in range(1, tau + 1)])
 
 
 def _per_pair_granger(x, y, tau_max=10):
@@ -516,19 +522,38 @@ def test_ccm_is_deterministic(sync_pair):
     assert first.max_r2 == second.max_r2
 
 
-def _full_matrix_ccm(x, y, embed_dim, lag, sizes, lowest_index):
-    """The all-pairs cross map: one n x n x E difference tensor and, per
-    library size, either an argpartition of the whole prefix (the search
-    the chunked one replaced) or a full stable argsort of it, which
-    resolves equal distances to the lower library index."""
-    t_len = len(x)
+def _manifold(y, embed_dim, lag):
+    """The delay embedding of y, one row per manifold point."""
+    t_len = len(y)
     offset = (embed_dim - 1) * lag
-    manifold = np.column_stack(
+    return np.column_stack(
         [y.values[offset - k * lag : t_len - k * lag] for k in range(embed_dim)]
     )
-    targets = x.values[offset:]
-    diffs = manifold[:, None, :] - manifold[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+
+
+def _summed_distances(rows, cols):
+    """The square root of the squared differences summed over dimensions
+    0..E-1 in order, from every row point to every column point."""
+    return np.sqrt(
+        sum((rows[:, None, k] - cols[None, :, k]) ** 2 for k in range(rows.shape[1]))
+    )
+
+
+def _einsum_distances(rows, cols):
+    """The distances as einsum sums an E-deep difference tensor, in the
+    order numpy picks: the formula the cross map used before."""
+    diffs = rows[:, None, :] - cols[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+
+
+def _full_matrix_ccm(x, y, embed_dim, lag, sizes, lowest_index, distances=_summed_distances):
+    """The all-pairs cross map: one n x n distance matrix and, per library
+    size, either an argpartition of the whole prefix (the search the
+    chunked one replaced) or a full stable argsort of it, which resolves
+    equal distances to the lower library index."""
+    manifold = _manifold(y, embed_dim, lag)
+    targets = x.values[(embed_dim - 1) * lag :]
+    dist = distances(manifold, manifold)
     np.fill_diagonal(dist, np.inf)
     n_neigh = embed_dim + 1
     skill = {}
@@ -558,6 +583,45 @@ def _tie_free_channels(n):
     four = gen_four_species(n)
     noise = gen_white_noise(n, derive_seed(9, "oracle"))
     return [scale_unit_range(s) for s in (four.get("X"), four.get("Y"), noise)]
+
+
+@pytest.mark.parametrize("embed_dim", range(1, 9))
+def test_distances_agree_with_einsum(embed_dim):
+    # Up to E = 2 each distance is the root of at most two rounded squares
+    # added once, whatever the order, so it has einsum's bits.  From E = 3
+    # einsum sums in an order of numpy's own (not left to right on every
+    # build), and the two differ in the last bits only.
+    points = standard_normal(400 * embed_dim, derive_seed(9, "einsum", embed_dim))
+    manifold = points.reshape(400, embed_dim)
+    got = baselines._distances(manifold, 60, 360, 40, 380)
+    want = _einsum_distances(manifold[60:360], manifold[40:380])
+    own = np.arange(60, 360)
+    want[own - 60, own - 40] = np.inf
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= (0 if embed_dim <= 2 else 2)
+
+
+def test_ccm_at_embed_dim_3_agrees_with_einsum_distances():
+    # The summed squares pick the same neighbours as einsum's distances on
+    # tie-free data, and the skill moves in its last bits only.
+    chans = _tie_free_channels(600)
+    for x, y in ((chans[0], chans[1]), (chans[2], chans[0])):
+        manifold = _manifold(y, 3, 1)
+        n = len(manifold)
+        plain = baselines._distances(manifold, 0, n, 0, n)
+        old = _einsum_distances(manifold, manifold)
+        np.fill_diagonal(old, np.inf)
+        got = ccm(x, y, 3, 1)
+        for lib in got.library_sizes:
+            assert np.array_equal(
+                np.argsort(plain[:, :lib], axis=1, kind="stable")[:, :4],
+                np.argsort(old[:, :lib], axis=1, kind="stable")[:, :4],
+            )
+        want = _full_matrix_ccm(
+            x, y, 3, 1, got.library_sizes, lowest_index=True, distances=_einsum_distances
+        )
+        for lib, skill in got.skill.items():
+            assert skill == pytest.approx(want[lib], rel=1e-12, abs=0)
 
 
 def _assert_ccm_matches_full_matrix(n):
@@ -660,7 +724,10 @@ def test_ccm_memory_is_linear_in_t_plus_one_block():
     # At T=3000 the all-pairs search (an n x n x E tensor) peaked at 289 MB
     # and a search over all rows, 256 library columns at a time, at 26 MB.
     # The row blocks hold at most _CCM_BLOCK_VALUES distances whatever T,
-    # so only O(n * E) arrays grow with T.
+    # so only O(n * E) arrays grow with T.  A block is two buffers of that
+    # many floats, the distances and one dimension's squared differences:
+    # at T=3000 the peak was 1.18 MB, and 1.57 MB with a block of E-deep
+    # differences, which this bound (1.29 MB there) rules out.
     for t_len in (3000, 12000):
         x = gen_white_noise(t_len, derive_seed(9, "mem", 0))
         y = gen_white_noise(t_len, derive_seed(9, "mem", 1))
@@ -670,4 +737,4 @@ def test_ccm_memory_is_linear_in_t_plus_one_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 8 * t_len + 8 * 8 * baselines._CCM_BLOCK_VALUES, t_len
+        assert peak <= 32 * 8 * t_len + 2 * 8 * baselines._CCM_BLOCK_VALUES, t_len

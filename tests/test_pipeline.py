@@ -162,6 +162,26 @@ def test_discover_checks_rho_at_every_window_before_any_pair(monkeypatch):
     assert all(r.error.startswith("WindowTooLong") for r in result.reports)
 
 
+def test_discover_checks_the_shift_range_before_any_shuffling(monkeypatch):
+    # RunConfig cannot know T, so a shift range past the series is found by
+    # each pair's shift profile, which runs before its band test shuffles;
+    # where the window is too long for the series too, ShiftTooLarge wins.
+    calls = []
+    band_test = pipeline.pair_band_test
+
+    def spy(*args):
+        calls.append(args)
+        return band_test(*args)
+
+    monkeypatch.setattr(pipeline, "pair_band_test", spy)
+    config = RunConfig(n_shuffles=20, tau_min=-3_000_000, tau_max=3_000_000)
+    for window_length in (config.window_length, 301):
+        result = discover(gen_four_species(300), replace(config, window_length=window_length))
+        assert len(result.reports) == 12
+        assert all(r.error.startswith("ShiftTooLarge: |tau| = ") for r in result.reports)
+    assert calls == []
+
+
 def test_discover_needs_two_channels():
     single = Panel((gen_white_noise(50, derive_seed(14, 0), name="A"),))
     with pytest.raises(InsufficientData):
