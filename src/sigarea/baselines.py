@@ -91,11 +91,10 @@ def f_upper_tail(f: float, df1: float, df2: float) -> float:
 
 @dataclass(frozen=True)
 class GrangerResult:
-    """Per-lag F-test p-values for one directed hypothesis."""
+    """Per-lag F-test p-values for one directed hypothesis; min_p derives from them."""
 
     pair: tuple[str, str]
     per_lag_p: Mapping[int, float]
-    min_p: float
 
     __reduce__ = _reduce_through_init
 
@@ -106,6 +105,10 @@ class GrangerResult:
             "per_lag_p",
             MappingProxyType({int(k): float(v) for k, v in self.per_lag_p.items()}),
         )
+
+    @property
+    def min_p(self) -> float:
+        return min(self.per_lag_p.values())
 
 
 def _ssr(design: np.ndarray, target: np.ndarray) -> tuple[float, int]:
@@ -240,10 +243,7 @@ def granger_many(
                     continue
                 f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
                 p_values[tau] = f_upper_tail(f_stat, tau, df2)
-    return [
-        GrangerResult((x.name, y.name), p_values, min(p_values.values()))
-        for y, p_values in zip(ys, per_lag)
-    ]
+    return [GrangerResult((x.name, y.name), p_values) for y, p_values in zip(ys, per_lag)]
 
 
 def granger(x: Series, y: Series, tau_max: int = 10) -> GrangerResult:
@@ -257,25 +257,29 @@ def granger(x: Series, y: Series, tau_max: int = 10) -> GrangerResult:
 
 @dataclass(frozen=True)
 class CcmResult:
-    """Cross-mapping skill of estimating x from the shadow manifold of y."""
+    """Cross-mapping skill of estimating x from the shadow manifold of y, per
+    library size; library_sizes (its keys) and max_r2 derive from it."""
 
     pair: tuple[str, str]
-    embed_dim: int
-    lag: int
-    library_sizes: tuple[int, ...]
     skill: Mapping[int, float]
-    max_r2: float
 
     __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))
-        object.__setattr__(self, "library_sizes", tuple(int(s) for s in self.library_sizes))
         object.__setattr__(
             self,
             "skill",
             MappingProxyType({int(k): float(v) for k, v in self.skill.items()}),
         )
+
+    @property
+    def library_sizes(self) -> tuple[int, ...]:
+        return tuple(self.skill)
+
+    @property
+    def max_r2(self) -> float:
+        return max(self.skill.values())
 
 
 def _squared_pearson(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -467,10 +471,7 @@ def ccm_many(
         weights = _neighbour_weights(near_d)
         for skill, target in zip(skills, targets):
             skill[int(lib)] = _cross_map_skill(weights, near_i, target)
-    return [
-        CcmResult((x.name, y.name), embed_dim, lag, sizes, skill, max(skill.values()))
-        for x, skill in zip(xs, skills)
-    ]
+    return [CcmResult((x.name, y.name), skill) for x, skill in zip(xs, skills)]
 
 
 def ccm(

@@ -189,8 +189,8 @@ def _baseline(args: argparse.Namespace) -> int:
         print(f"min_p {sio.format_float(result.min_p)}")
     else:
         result = ccm(x, y, args.embed_dim, args.lag)
-        for size in result.library_sizes:
-            print(f"library {size} r2 {sio.format_float(result.skill[size])}")
+        for size, r2 in result.skill.items():
+            print(f"library {size} r2 {sio.format_float(r2)}")
         print(f"max_r2 {sio.format_float(result.max_r2)}")
     return 0
 

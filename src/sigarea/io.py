@@ -257,6 +257,7 @@ def write_report(result: DiscoveryResult, out_dir: str) -> list[str]:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\r\n'):
+    # An empty cell is quoted too: a line of one bare empty cell reads as no row.
+    if not cell or any(ch in cell for ch in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell

@@ -97,6 +97,9 @@ def scale_unit_range(s: Series) -> Series:
 
     The transform divides by (max - min) and then subtracts the mean of the
     divided values; subtracting the mean first gives the identical result.
+    A range past float64's largest value (about 1.8e308) is taken of the
+    halved samples, which halve exactly at that size, so such a channel is
+    scaled as its halved copy is rather than divided by inf into zeros.
     """
     v = s.values
     if len(s) < 2:
@@ -104,6 +107,9 @@ def scale_unit_range(s: Series) -> Series:
     span = float(v.max()) - float(v.min())
     if span == 0.0:
         raise ConstantSeries(f"series {s.name!r} has zero range")
+    if span == np.inf:
+        v = v / 2.0
+        span = float(v.max()) - float(v.min())
     scaled = v / span
     return Series(s.name, scaled - scaled.mean())
 

@@ -72,7 +72,9 @@ class Sig2:
 
 
 def _check_path(p: np.ndarray) -> None:
-    if p.ndim != 2 or p.shape[0] < 2:
+    if p.ndim != 2:
+        raise ValueError("path must be an n x d array of points")
+    if p.shape[0] < 2:
         raise DegeneratePath("path needs at least 2 points")
     if not np.all(np.isfinite(p)):
         raise ValueError("path contains non-finite coordinates")
@@ -86,8 +88,6 @@ def signature_depth2(path: np.ndarray) -> Sig2:
     adding outer(position-so-far, D) for the chord from the start.
     """
     p = np.asarray(path, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[:, None]
     _check_path(p)
     delta = np.diff(p, axis=0)
     chord = p[:-1] - p[0]
@@ -137,11 +137,10 @@ def _whole_area(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class AreaSequence:
-    """Windowed signed areas for an ordered pair, compared and hashed by identity."""
+    """Windowed signed areas for an ordered pair, compared and hashed by
+    identity; the window length and stride that cut them are the caller's."""
 
     pair: tuple[str, str]
-    window_length: int
-    stride: int
     values: np.ndarray
 
     __reduce__ = _reduce_through_init
@@ -221,4 +220,4 @@ def signed_area_sequence(
     """
     check_windows(a, b, window_length, stride)
     values = _window_areas(a.values, b.values, window_length, stride)
-    return AreaSequence((a.name, b.name), window_length, stride, values)
+    return AreaSequence((a.name, b.name), values)

@@ -256,7 +256,7 @@ def _per_pair_granger(x, y, tau_max=10):
             continue
         f_stat = max((ssr_r - ssr_u) / tau, 0.0) / (ssr_u / df2)
         per_lag[tau] = f_upper_tail(f_stat, tau, df2)
-    return baselines.GrangerResult((x.name, y.name), per_lag, min(per_lag.values()))
+    return baselines.GrangerResult((x.name, y.name), per_lag)
 
 
 def _lagged_copy(s, lag):

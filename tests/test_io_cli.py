@@ -66,6 +66,15 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert loaded.names == names
     for name in loaded.names:
         assert np.array_equal(loaded.get(name).values, panel.get(name).values)
+    # One channel named "": its header line is one empty cell, which
+    # csv.reader would skip as a blank line unless it is quoted.
+    lone = Panel((Series("", [1.0, 2.0, 3.0]),))
+    write_csv(lone, path)
+    with open(path) as handle:
+        assert handle.read() == '""\n1\n2\n3\n'
+    loaded, _ = read_csv(path)
+    assert loaded.names == ("",)
+    assert np.array_equal(loaded.get("").values, [1.0, 2.0, 3.0])
 
 
 def test_write_csv_rejects_names_that_would_not_read_back(tmp_path):
@@ -470,6 +479,25 @@ def test_cli_analyze_survives_a_constant_channel(tmp_path):
     broken = [p for p in pairs if "C" in (p["i"], p["j"])]
     assert len(broken) == 8
     assert all(p["error"].startswith("ConstantSeries") for p in broken)
+
+
+def test_cli_analyze_scores_a_channel_whose_range_overflows(tmp_path):
+    # A spans 2e308, past float64; it is scaled as its halved copy is, so
+    # both runs write the same bytes and no pair reads A as all zeros.
+    a = [1e308, -1e308, 5e307, -3e307, 8e307, -6e307, 2e307, -9e307, 4e307, -1e307, 7e307, -5e307]
+    b = [1, 3, 2, 6, 2, 7, 1, 5, 2, 8, 3, 6]
+    c = [4, 1, 7, 2, 8, 3, 5, 9, 4, 6, 1, 2]
+    flags = ["--n-shuffles", "20", "--window-length", "3", "--tau-min", "-2", "--tau-max", "2"]
+    runs = []
+    for name, column in (("big", a), ("half", [v / 2 for v in a])):
+        csv_path = tmp_path / f"{name}.csv"
+        write_csv(Panel(tuple(map(Series, "ABC", (column, b, c)))), str(csv_path))
+        out = tmp_path / name
+        assert cli.main(["analyze", str(csv_path), "--out", str(out), *flags]) == 0
+        runs.append((out / "pairs.csv").read_bytes())
+    assert runs[0] == runs[1]
+    rows = list(csv.DictReader(runs[0].decode().splitlines()))
+    assert len(rows) == 6 and all(r["error"] == "" and r["ts_savr"] != "" for r in rows)
 
 
 def test_cli_ccm_on_a_short_csv_is_a_pair_error(tmp_path, capsys):

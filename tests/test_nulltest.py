@@ -442,34 +442,34 @@ def _band(lower, upper):
 
 
 def test_ssad_all_above_scores_one():
-    seq = AreaSequence(("a", "b"), 5, 1, [2.0, 3.0, 2.5])
+    seq = AreaSequence(("a", "b"), [2.0, 3.0, 2.5])
     res = ssad(seq, _band([-1.0] * 3, [1.0] * 3))
     assert res.score == 1.0
     assert list(res.per_step) == [1, 1, 1]
 
 
 def test_ssad_inside_scores_zero():
-    seq = AreaSequence(("a", "b"), 5, 1, [0.0, 0.1, -0.1])
+    seq = AreaSequence(("a", "b"), [0.0, 0.1, -0.1])
     res = ssad(seq, _band([-1.0] * 3, [1.0] * 3))
     assert res.score == 0.0
     assert list(res.per_step) == [0, 0, 0]
 
 
 def test_ssad_alternating_cancels():
-    seq = AreaSequence(("a", "b"), 5, 1, [2.0, -2.0, 2.0, -2.0])
+    seq = AreaSequence(("a", "b"), [2.0, -2.0, 2.0, -2.0])
     res = ssad(seq, _band([-1.0] * 4, [1.0] * 4))
     assert res.score == 0.0
     assert list(res.per_step) == [1, -1, 1, -1]
 
 
 def test_ssad_boundary_equality_counts_as_outside():
-    seq = AreaSequence(("a", "b"), 5, 1, [1.0, -1.0, 0.5])
+    seq = AreaSequence(("a", "b"), [1.0, -1.0, 0.5])
     res = ssad(seq, _band([-1.0] * 3, [1.0] * 3))
     assert list(res.per_step) == [1, -1, 0]
 
 
 def test_ssad_length_mismatch():
-    seq = AreaSequence(("a", "b"), 5, 1, [1.0, 2.0])
+    seq = AreaSequence(("a", "b"), [1.0, 2.0])
     with pytest.raises(LengthMismatch):
         ssad(seq, _band([0.0] * 3, [1.0] * 3))
 

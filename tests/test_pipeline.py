@@ -82,8 +82,9 @@ def _rule_cases():
     """Per input rule: the owner's error type and text, and a call through
     each public entry point that breaks the rule."""
     from sigarea import (
-        ccm_many, difference, gen_two_species_bidir, granger_many, null_ensemble,
-        shift_profile, signature_depth2, signed_area,
+        ccm_many, confidence_band, difference, gen_two_species_bidir, granger_many,
+        multiplier, null_ensemble, shift_profile, signature_depth2, signed_area,
+        ssad_pair_detail,
     )
     from sigarea.signature import check_windows
 
@@ -92,6 +93,7 @@ def _rule_cases():
     c = Series("c", np.arange(49.0))
     a8, b8 = Series("a", a.values[:8]), Series("b", b.values[:8])
     lone, unfinished = np.zeros((1, 2)), np.array([[0.0, 0.0], [np.nan, 1.0]])
+    ensemble = np.arange(6.0).reshape(2, 3)
     return {
         "window_length": (ValueError, "window_length must be >= 3", [
             lambda: RunConfig(window_length=2), lambda: check_windows(a, b, 2, 1),
@@ -101,6 +103,16 @@ def _rule_cases():
         ]),
         "n_shuffles": (ValueError, "n_shuffles must be >= 2", [
             lambda: RunConfig(n_shuffles=1), lambda: null_ensemble(a, b, 5, 1, seed=0),
+        ]),
+        "rho": (ValueError, "rho must be positive", [
+            lambda: RunConfig(rho=0.0), lambda: multiplier(1, 0.0),
+            lambda: confidence_band(ensemble, rho=0.0),
+            lambda: ssad_pair_detail(a, b, n_shuffles=2, rho=0.0),
+        ]),
+        "alpha": (ValueError, "alpha must lie in (0, 1)", [
+            lambda: RunConfig(alpha=1.0), lambda: multiplier(1, alpha=1.0),
+            lambda: confidence_band(ensemble, alpha=1.0),
+            lambda: ssad_pair_detail(a, b, n_shuffles=2, alpha=1.0),
         ]),
         "difference_order": (ValueError, "difference_order must be >= 0", [
             lambda: RunConfig(difference_order=-1), lambda: difference(a, -1),
@@ -695,7 +707,7 @@ def test_frozen_arrays_stay_read_only_through_pickle():
     x, y = panel.get("X"), panel.get("Y")
     for frozen in (
         Series("A", values),
-        AreaSequence(("A", "B"), 2, 1, values),
+        AreaSequence(("A", "B"), values),
         NullBand(values - 1, values + 1, values, values),
         SsadResult(("A", "B"), np.array([0, 1, -1]), 0.0),
         Sig2(values[:2], np.eye(2)),
@@ -708,6 +720,31 @@ def test_frozen_arrays_stay_read_only_through_pickle():
         _assert_same_frozen(copy.deepcopy(frozen), frozen)
 
 
+def test_result_records_hold_each_fact_once():
+    # A summary is derived from the values it summarises, so no record can
+    # contradict itself, and no record echoes the inputs that made it.
+    from dataclasses import FrozenInstanceError, fields
+
+    from sigarea import AreaSequence, CcmResult, GrangerResult
+
+    for record, names in (
+        (GrangerResult, ["pair", "per_lag_p"]),
+        (CcmResult, ["pair", "skill"]),
+        (AreaSequence, ["pair", "values"]),
+    ):
+        assert [f.name for f in fields(record)] == names
+    with pytest.raises(TypeError):
+        GrangerResult(("x", "y"), {1: 0.5, 2: 0.7}, 0.01)
+    with pytest.raises(TypeError):
+        CcmResult(("x", "y"), 2, 1, (10, 20), {10: 0.1}, 0.9)
+    gr = GrangerResult(("x", "y"), {1: 0.5, 2: 0.07, 3: 0.7})
+    cm = CcmResult(("x", "y"), {10: 0.1, 20: 0.9, 30: 0.4})
+    assert (gr.min_p, cm.max_r2, cm.library_sizes) == (0.07, 0.9, (10, 20, 30))
+    for record, name in ((gr, "min_p"), (cm, "max_r2"), (cm, "library_sizes")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0)
+
+
 def test_records_that_hold_arrays_compare_and_hash_by_identity():
     import pickle
 
@@ -717,7 +754,7 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity():
     values = np.arange(4.0)
     for make in (
         lambda: Series("A", values),
-        lambda: AreaSequence(("A", "B"), 3, 1, values),
+        lambda: AreaSequence(("A", "B"), values),
         lambda: NullBand(values - 1, values + 1, values, values),
         lambda: SsadResult(("A", "B"), np.array([0, 1, -1]), 0.0),
         lambda: Sig2(values[:2], np.eye(2)),

@@ -32,6 +32,8 @@ def test_series_values_are_immutable():
 
 
 def test_panel_validates_names_and_lengths():
+    with pytest.raises(ValueError, match="at least one series"):
+        Panel(())
     a = Series("a", [1.0, 2.0])
     with pytest.raises(ValueError):
         Panel((a, Series("a", [3.0, 4.0])))
@@ -48,6 +50,16 @@ def test_panel_validates_names_and_lengths():
 def test_scale_unit_range_small_example():
     out = scale_unit_range(Series("s", [1.0, 2.0, 3.0]))
     assert np.allclose(out.values, [-0.5, 0.0, 0.5], atol=1e-15)
+
+
+def test_scale_unit_range_of_a_range_past_float64():
+    # max - min overflows to inf here; the channel is scaled as its halved
+    # copy is, bit for bit, not divided by inf into zeros.
+    values = [1e308, -1e308, 5.0, 1.0]
+    out = scale_unit_range(Series("A", values)).values
+    half = scale_unit_range(Series("A", [v / 2 for v in values])).values
+    assert np.array_equal(out, half)
+    assert out[0] - out[1] == 1.0
 
 
 def test_scale_unit_range_constant_rejected():
@@ -123,6 +135,10 @@ def test_interpolate_uniform_errors():
         interpolate_uniform(np.array([0.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0)
     with pytest.raises(EmptyRange):
         interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 5.0)
+    with pytest.raises(EmptyRange, match="at least 2 samples"):
+        interpolate_uniform(np.array([0.0]), np.array([1.0]), 1.0)
+    with pytest.raises(LengthMismatch):
+        interpolate_uniform(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]), 1.0)
     for step in (-1.0, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite positive"):
             interpolate_uniform(np.array([0.0, 1.0]), np.array([0.0, 1.0]), step)

@@ -15,6 +15,7 @@ from sigarea import (
     DegeneratePath,
     LengthMismatch,
     Series,
+    Sig2,
     WindowTooLong,
     chen_concat,
     signature_depth2,
@@ -147,6 +148,15 @@ def test_signed_area_matches_shoelace_on_closed_polygons():
 def test_signature_input_validation():
     with pytest.raises(DegeneratePath):
         signature_depth2(np.array([[1.0, 2.0]]))
+    # One coordinate per point is a path of n points in one dimension.
+    with pytest.raises(ValueError, match="n x d array"):
+        signature_depth2(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="d x d"):
+        Sig2([1.0, 2.0], np.eye(3))
+    planar = signature_depth2(np.array([[0.0, 0.0], [1.0, 2.0]]))
+    spatial = signature_depth2(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    with pytest.raises(LengthMismatch, match="different dimensions"):
+        chen_concat(planar, spatial)
     with pytest.raises(DegeneratePath):
         signed_area(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
@@ -225,7 +235,7 @@ def test_area_sequence_errors():
 
 
 def test_area_sequence_values_frozen():
-    seq = AreaSequence(("a", "b"), 3, 1, [1.0, 2.0])
+    seq = AreaSequence(("a", "b"), [1.0, 2.0])
     with pytest.raises(ValueError):
         seq.values[0] = 9.0
 

@@ -16,6 +16,7 @@ from sigarea import (
     gen_white_noise,
     generate,
 )
+from sigarea.rng import standard_normal
 
 
 def test_sync_first_step_by_hand():
@@ -84,6 +85,8 @@ def test_generators_are_deterministic():
 def test_generator_validation():
     with pytest.raises(ValueError):
         gen_two_species_sync(1)
+    with pytest.raises(ValueError, match="non-negative"):
+        standard_normal(-1, 0)
     with pytest.raises(ValueError):
         gen_two_species_bidir(100, tau_d=3)
     with pytest.raises(ValueError):
