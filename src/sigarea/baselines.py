@@ -335,33 +335,28 @@ def _distances(
 
 
 def _merge_nearest(
-    near_bits: np.ndarray, near_i: np.ndarray, dist: np.ndarray, start: int
+    near_d: np.ndarray, near_i: np.ndarray, dist: np.ndarray, start: int
 ) -> None:
     """Merge the k smallest of each row of ``dist`` (library columns from
-    ``start`` on) into the held set, in place: near_bits holds the k nearest
-    distances' int64 bits and near_i their library indices, both sorted by
-    (distance, index).  ``dist`` is overwritten.
+    ``start`` on) into the held set, in place: near_d holds the k nearest
+    distances and near_i their library indices, both sorted by
+    (distance, index).
 
-    Each argmin pass takes the first smallest unpicked value, so the picks
-    come sorted by (distance, column); with fewer columns than k the extra
-    picks read _PICKED and lose to every held entry.  A stable argsort with
-    the held set first then keeps the lower library index among equals.
+    Each row is scanned as the held set, whose indices are all below
+    ``start``, then ``dist``, so among equal distances scan order is index
+    order: each of k argmin passes over the scan's int64 bits takes the
+    smallest (distance, index) left, and no sort is needed.
     """
-    n_rows, k = near_bits.shape
-    bits = dist.view(np.int64)
+    n_rows, k = near_d.shape
+    scan = np.concatenate([near_d, dist], axis=1)
+    bits = scan.view(np.int64)
+    held_i = near_i.copy()
     rows = np.arange(n_rows)
-    cand_bits = np.empty((n_rows, 2 * k), dtype=np.int64)
-    cand_i = np.empty((n_rows, 2 * k), dtype=np.intp)
-    cand_bits[:, :k] = near_bits
-    cand_i[:, :k] = near_i
-    for j in range(k, 2 * k):
+    for j in range(k):
         col = bits.argmin(axis=1)
-        cand_bits[:, j] = bits[rows, col]
-        cand_i[:, j] = col + start
+        near_d[:, j] = scan[rows, col]
+        near_i[:, j] = np.where(col < k, held_i[rows, col % k], col + start - k)
         bits[rows, col] = _PICKED
-    kept = rows[:, None], np.argsort(cand_bits, axis=1, kind="stable")[:, :k]
-    near_bits[:] = cand_bits[kept]
-    near_i[:] = cand_i[kept]
 
 
 def _neighbour_weights(d: np.ndarray) -> np.ndarray:
@@ -418,7 +413,9 @@ def ccm_many(
 
     The library is read in one step per library size, the columns added
     since the previous size, each merged into a running set of the E+1
-    nearest neighbours.  A step is searched in blocks of
+    nearest neighbours: E+1 argmin passes scan each row's held set, whose
+    indices are all lower, then the step, so the first minimum keeps the
+    lower-index rule without a sort.  A step is searched in blocks of
     max(1, _CCM_BLOCK_VALUES // step columns) manifold rows, so beyond
     O(n * E) arrays for n manifold points, memory holds two blocks of
     _CCM_BLOCK_VALUES values whatever T and E, rather than O(n^2 * E),
@@ -457,7 +454,6 @@ def ccm_many(
     # Placeholders (inf, index 0) lose to any finite distance, and every row
     # has E+1 of those by the first library size.
     near_d = np.full((n_points, n_neigh), np.inf)
-    near_bits = near_d.view(np.int64)
     near_i = np.zeros((n_points, n_neigh), dtype=np.intp)
     skills: list[dict[int, float]] = [{} for _ in xs]
     start = 0
@@ -466,7 +462,7 @@ def ccm_many(
         for first in range(0, n_points, n_rows):
             last = min(first + n_rows, n_points)
             dist = _distances(manifold, first, last, start, lib)
-            _merge_nearest(near_bits[first:last], near_i[first:last], dist, start)
+            _merge_nearest(near_d[first:last], near_i[first:last], dist, start)
         start = lib
         weights = _neighbour_weights(near_d)
         for skill, target in zip(skills, targets):

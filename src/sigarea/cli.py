@@ -32,7 +32,7 @@ import sys
 from . import io as sio
 from .direction import shift_profile, ts_savr
 from .baselines import ccm, granger
-from .errors import SigAreaError
+from .errors import ParseError, SigAreaError
 from .pipeline import (
     RunConfig,
     _check_every_window,
@@ -119,10 +119,11 @@ def _build_parser() -> _Parser:
     base.add_argument("csv")
     base.add_argument("--x", required=True, metavar="NAME")
     base.add_argument("--y", required=True, metavar="NAME")
-    base.add_argument("--maxlag", type=int, default=10,
+    base.add_argument("--maxlag", type=int, default=RunConfig().granger_tau_max,
                       help="largest regression lag (granger)")
-    base.add_argument("--embed-dim", type=int, default=2)
-    base.add_argument("--lag", type=int, default=1)
+    # Unset, ccm takes its own defaults, the values analyze --ccm runs with.
+    base.add_argument("--embed-dim", type=int, help="embedding dimension E (ccm)")
+    base.add_argument("--lag", type=int, help="embedding delay (ccm)")
     _add_run_flags(base, shuffles=False, taus=False)
     base.set_defaults(handler=_baseline)
     return parser
@@ -155,9 +156,12 @@ def _analyze(args: argparse.Namespace) -> int:
 
 def _channel_pair(args: argparse.Namespace):
     """The --x and --y channels, prepared as analyze prepares them; one
-    channel as both raises ValueError."""
+    channel as both raises ValueError, a name the input lacks ParseError."""
     panel, _ = sio.read_csv(args.csv, args.interp_step)
-    pair = [panel.get(name) for name in (args.x, args.y)]
+    try:
+        pair = [panel.get(name) for name in (args.x, args.y)]
+    except KeyError as exc:
+        raise ParseError(f"no channel named {exc.args[0]!r} in the input") from None
     _name_ordered(*pair)
     return [prepare_channel(s, args.difference_order) for s in pair]
 
@@ -188,7 +192,8 @@ def _baseline(args: argparse.Namespace) -> int:
             print(f"lag {lag} p {sio.format_float(result.per_lag_p[lag])}")
         print(f"min_p {sio.format_float(result.min_p)}")
     else:
-        result = ccm(x, y, args.embed_dim, args.lag)
+        given = {"embed_dim": args.embed_dim, "lag": args.lag}
+        result = ccm(x, y, **{k: v for k, v in given.items() if v is not None})
         for size, r2 in result.skill.items():
             print(f"library {size} r2 {sio.format_float(r2)}")
         print(f"max_r2 {sio.format_float(result.max_r2)}")
@@ -207,9 +212,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse --help exits 0 through here
         code = exc.code
         return code if isinstance(code, int) else 0
-    except KeyError as exc:
-        print(f"error: no channel named {exc.args[0]!r} in the input", file=sys.stderr)
-        return 2
     except (SigAreaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

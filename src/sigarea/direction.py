@@ -24,7 +24,7 @@ from typing import Mapping, Sized
 
 import numpy as np
 
-from .errors import InsufficientData, ShiftTooLarge, ZeroVariance
+from .errors import ShiftTooLarge, ZeroVariance
 from .series import Series, _reduce_through_init, check_lengths
 from .signature import _whole_area
 
@@ -94,21 +94,22 @@ class DirectionVerdict:
 
 def _nonzero_taus(tau_min: int, tau_max: int) -> tuple[range, range]:
     """The negative and the positive shifts of [tau_min, tau_max], as ranges,
-    so that no check on them walks the range."""
+    so that no check on them walks the range; at least 2 on each side."""
     if tau_min > tau_max:
         raise ValueError("tau_min must not exceed tau_max")
     negative = range(tau_min, min(tau_max, -1) + 1)
     positive = range(max(tau_min, 1), tau_max + 1)
     if not negative and not positive:
         raise ValueError("shift range contains no nonzero tau")
+    _check_sides(negative, positive)
     return negative, positive
 
 
-def _check_sides(negative: Sized, positive: Sized, error: type[Exception]) -> None:
-    """Raise ``error`` unless at least 2 shifts lie on each side of zero, as
-    the sample variances of ts_savr's ratio need."""
+def _check_sides(negative: Sized, positive: Sized) -> None:
+    """ValueError unless at least 2 shifts lie on each side of zero, as the
+    sample variances of ts_savr's ratio need."""
     if min(len(negative), len(positive)) < 2:
-        raise error("variance ratio needs at least 2 shifts on each side of zero")
+        raise ValueError("variance ratio needs at least 2 shifts on each side of zero")
 
 
 def _shift_slices(t_len: int, tau: int) -> tuple[slice, slice]:
@@ -134,7 +135,9 @@ def shift_profile(
     b[t] on their whole overlap, and that overlap is one window: its area
     has the bits of signed_area on the path (b[t], a[t + tau]).
     The truncated series are not re-scaled, so areas stay comparable
-    across shifts.  A shift with |tau| >= T - 1 leaves under two samples
+    across shifts.  A range with under 2 shifts on a side of zero raises
+    ValueError, as ts_savr's variances need, before the series are read.
+    A shift with |tau| >= T - 1 leaves under two samples
     to trace a path through and raises ShiftTooLarge, naming the first
     such shift of the range, before any area is computed.  The mirror
     shifts the range lacks come after it, for reversed(); each has the
@@ -165,10 +168,12 @@ def ts_savr(profile: ShiftProfile) -> DirectionVerdict:
     ratio = Var(areas at tau < 0) / Var(areas at tau > 0), sample variances
     with the n-1 denominator.  The verdict's leads cuts it: >= _HIGH (1.1)
     is i->j, <= _LOW (0.9) is j->i, anything between is mutual (i<->j).
+    A profile built by hand with under 2 shifts on a side raises the
+    ValueError shift_profile raises for such a range.
     """
     neg = profile.side(positive=False)
     pos = profile.side(positive=True)
-    _check_sides(neg, pos, InsufficientData)
+    _check_sides(neg, pos)
     var_pos = float(np.var(pos, ddof=1))
     if var_pos == 0.0:
         raise ZeroVariance(

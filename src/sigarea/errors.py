@@ -71,8 +71,8 @@ class DegenerateEmbedding(SigAreaError):
 
 
 class ParseError(SigAreaError):
-    """CSV text cannot be decoded or its structure is invalid; message
-    carries the location."""
+    """CSV text cannot be decoded, its structure is invalid, or it lacks a
+    channel asked for; message carries the location or the name."""
 
 
 class RaggedRows(ParseError):
@@ -90,4 +90,5 @@ class IoError(SigAreaError):
 
 
 class Divergence(SigAreaError):
-    """A generated system state left the unit interval."""
+    """A computed value left its valid range: a generated system state left
+    the unit interval, or a channel's differences overflowed float64."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IoError, NonNumericCell, ParseError, RaggedRows
 from .pipeline import DiscoveryResult, PairReport
-from .series import Panel, Series, interpolate_uniform
+from .series import Panel, Series, _uniform_grid
 
 FLOAT_FORMAT = "%.17g"
 
@@ -127,11 +127,11 @@ def read_csv(
             raise ParseError(
                 f"{path}: interpolation requested but there is no time column"
             )
+        grid = _uniform_grid(times, interpolation_step)
         series = tuple(
-            interpolate_uniform(times, columns[:, k], interpolation_step, name)
+            Series(name, np.interp(grid, times, columns[:, k]))
             for k, name in enumerate(names)
         )
-        grid = times[0] + interpolation_step * np.arange(len(series[0]))
         return Panel(series), grid
     series = tuple(Series(name, columns[:, k]) for k, name in enumerate(names))
     return Panel(series), times

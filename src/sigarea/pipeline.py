@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .baselines import _check_granger_lag, ccm_many, granger_many
-from .direction import _check_sides, _nonzero_taus, shift_profile, ts_savr
+from .direction import _nonzero_taus, shift_profile, ts_savr
 from .errors import InsufficientData, NameTaken, SigAreaError
 from .nulltest import (
     NullBand, SsadResult, _check_n_shuffles, _usable_cpus, multiplier, ssad_pair_detail
@@ -75,7 +75,7 @@ class RunConfig:
         _check_window(self.window_length, self.effective_stride)
         _check_n_shuffles(self.n_shuffles)
         multiplier(1, self.rho, self.alpha)
-        _check_sides(*_nonzero_taus(self.tau_min, self.tau_max), ValueError)
+        _nonzero_taus(self.tau_min, self.tau_max)
         if self.theta is not None and not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1] when given")
         _check_difference_order(self.difference_order)

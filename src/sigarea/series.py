@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ConstantSeries,
+    Divergence,
     EmptyRange,
     LengthMismatch,
     NonMonotonicTime,
@@ -120,7 +121,8 @@ def _check_difference_order(order: int) -> None:
 
 
 def difference(s: Series, order: int) -> Series:
-    """Iterated first differences; order 0 returns the input unchanged."""
+    """Iterated first differences; order 0 returns the input unchanged.
+    A difference past float64's range raises Divergence, a data error."""
     _check_difference_order(order)
     if order == 0:
         return s
@@ -128,23 +130,19 @@ def difference(s: Series, order: int) -> Series:
         raise TooShort(
             f"series {s.name!r}: length {len(s)} cannot be differenced {order} times"
         )
-    return Series(s.name, np.diff(s.values, n=order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(s.values, n=order)
+    if not np.all(np.isfinite(diffs)):
+        raise Divergence(
+            f"series {s.name!r}: order-{order} differences overflow float64"
+        )
+    return Series(s.name, diffs)
 
 
-def interpolate_uniform(
-    times: np.ndarray, values: np.ndarray, step: float, name: str = "x"
-) -> Series:
-    """Linearly resample onto the uniform grid times[0], times[0]+step, ...
-
-    The grid runs up to the largest point not exceeding times[-1], so grid
-    points that coincide with input samples reproduce them exactly.  A step
-    that is not finite and positive, or so small that no array could index
-    its grid, raises ValueError, a parameter error.
-    """
-    t = np.asarray(times, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if t.shape != v.shape or t.ndim != 1:
-        raise LengthMismatch("times and values must be equal-length vectors")
+def _uniform_grid(t: np.ndarray, step: float) -> np.ndarray:
+    """The grid t[0], t[0]+step, ... up to the largest point not exceeding
+    t[-1]; the one check of the times and the step, for interpolate_uniform
+    and read_csv."""
     if t.size < 2:
         raise EmptyRange("need at least 2 samples to interpolate")
     if not (np.isfinite(step) and step > 0):
@@ -164,8 +162,24 @@ def interpolate_uniform(
         raise EmptyRange(
             f"step {step} fits fewer than 2 grid points in [{t[0]}, {t[-1]}]"
         )
-    grid = t[0] + step * np.arange(count)
-    return Series(name, np.interp(grid, t, v))
+    return t[0] + step * np.arange(count)
+
+
+def interpolate_uniform(
+    times: np.ndarray, values: np.ndarray, step: float, name: str = "x"
+) -> Series:
+    """Linearly resample onto the uniform grid times[0], times[0]+step, ...
+
+    The grid runs up to the largest point not exceeding times[-1], so grid
+    points that coincide with input samples reproduce them exactly.  A step
+    that is not finite and positive, or so small that no array could index
+    its grid, raises ValueError, a parameter error.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    if t.shape != v.shape or t.ndim != 1:
+        raise LengthMismatch("times and values must be equal-length vectors")
+    return Series(name, np.interp(_uniform_grid(t, step), t, v))
 
 
 def check_lengths(a: Series, b: Series) -> None:

@@ -5,7 +5,6 @@ import pytest
 
 from sigarea import (
     DirectionVerdict,
-    InsufficientData,
     ShiftProfile,
     ShiftTooLarge,
     ZeroVariance,
@@ -90,7 +89,7 @@ def _chans(t_len):
 
 
 @pytest.mark.parametrize("t_len", [200, 1000, 1001, 1003, 3000])
-@pytest.mark.parametrize("tau_min, tau_max", [(-10, 10), (-3, 7), (2, 9)])
+@pytest.mark.parametrize("tau_min, tau_max", [(-10, 10), (-3, 7), (-2, 9)])
 def test_profile_areas_have_the_bits_of_the_shifted_series_path(t_len, tau_min, tau_max):
     # The public path area of the shifted samples is the oracle for every
     # area, mirror shifts included.  At T=1003 a one-shift overlap sums its
@@ -135,8 +134,8 @@ _RANGE_ERRORS = {
     (-3, 20): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
     (-20, 3): "|tau| = 20 leaves 0 of 8 samples aligned, fewer than 2",
     (-3, 7): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
-    (-8, -2): "|tau| = 8 leaves 0 of 8 samples aligned, fewer than 2",
-    (2, 9): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
+    (-8, 2): "|tau| = 8 leaves 0 of 8 samples aligned, fewer than 2",
+    (-2, 9): "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2",
 }
 
 
@@ -183,7 +182,7 @@ def test_a_one_sample_overlap_is_a_shift_error(swapped):
     if swapped:
         a, b = b, a
     assert len(shift_profile(a, b, -6, 6).taus) == 12
-    for tau_min, tau_max in ((-3, 7), (-7, 3), (1, 7)):
+    for tau_min, tau_max in ((-3, 7), (-7, 3), (-2, 7)):
         with pytest.raises(ShiftTooLarge) as caught:
             shift_profile(a, b, tau_min, tau_max)
         assert str(caught.value) == "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2"
@@ -222,7 +221,7 @@ def test_ts_savr_threshold_boundaries_are_inclusive():
 def test_ts_savr_validation():
     with pytest.raises(ZeroVariance):
         ts_savr(_profile([0.0, 1.0], [3.0, 3.0]))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match="at least 2 shifts on each side"):
         ts_savr(_profile([1.0], [2.0]))
 
 

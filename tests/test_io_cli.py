@@ -341,6 +341,9 @@ def test_cli_defaults_are_run_config_defaults():
     assert (tssavr.tau_min, tssavr.tau_max, tssavr.difference_order) == (
         defaults.tau_min, defaults.tau_max, defaults.difference_order
     )
+    # baseline's lag defaults to analyze's; ccm's embedding is its own unless given.
+    base = parser.parse_args(["baseline", "ccm", "f.csv", "--x", "A", "--y", "B"])
+    assert (base.maxlag, base.embed_dim, base.lag) == (defaults.granger_tau_max, None, None)
 
 
 def test_cli_generate_writes_loadable_panel(tmp_path, capsys):
@@ -481,12 +484,16 @@ def test_cli_analyze_survives_a_constant_channel(tmp_path):
     assert all(p["error"].startswith("ConstantSeries") for p in broken)
 
 
+# A spans 2e308, past float64's largest value.
+_BIG_A = [1e308, -1e308, 5e307, -3e307, 8e307, -6e307, 2e307, -9e307, 4e307, -1e307, 7e307, -5e307]
+_BIG_B = [1, 3, 2, 6, 2, 7, 1, 5, 2, 8, 3, 6]
+_BIG_C = [4, 1, 7, 2, 8, 3, 5, 9, 4, 6, 1, 2]
+
+
 def test_cli_analyze_scores_a_channel_whose_range_overflows(tmp_path):
-    # A spans 2e308, past float64; it is scaled as its halved copy is, so
-    # both runs write the same bytes and no pair reads A as all zeros.
-    a = [1e308, -1e308, 5e307, -3e307, 8e307, -6e307, 2e307, -9e307, 4e307, -1e307, 7e307, -5e307]
-    b = [1, 3, 2, 6, 2, 7, 1, 5, 2, 8, 3, 6]
-    c = [4, 1, 7, 2, 8, 3, 5, 9, 4, 6, 1, 2]
+    # A is scaled as its halved copy is, so both runs write the same bytes
+    # and no pair reads A as all zeros.
+    a, b, c = _BIG_A, _BIG_B, _BIG_C
     flags = ["--n-shuffles", "20", "--window-length", "3", "--tau-min", "-2", "--tau-max", "2"]
     runs = []
     for name, column in (("big", a), ("half", [v / 2 for v in a])):
@@ -498,6 +505,28 @@ def test_cli_analyze_scores_a_channel_whose_range_overflows(tmp_path):
     assert runs[0] == runs[1]
     rows = list(csv.DictReader(runs[0].decode().splitlines()))
     assert len(rows) == 6 and all(r["error"] == "" and r["ts_savr"] != "" for r in rows)
+
+
+def test_cli_analyze_reports_a_difference_that_overflows(tmp_path, capsys):
+    # A's first difference, -2e308, overflows: A's pairs carry the data
+    # error, the pair that never touches A is scored, and the single-pair
+    # command on A exits with a data error.
+    csv_path = str(tmp_path / "big.csv")
+    write_csv(Panel(tuple(map(Series, "ABC", (_BIG_A, _BIG_B, _BIG_C)))), csv_path)
+    flags = ["--window-length", "3", "--difference-order", "1", "--n-shuffles", "20"]
+    out = tmp_path / "run"
+    shifts = ["--tau-min", "-2", "--tau-max", "2"]
+    assert cli.main(["analyze", csv_path, "--out", str(out), *flags, *shifts]) == 0
+    text = (out / "pairs.csv").read_text()
+    rows = {(r["i"], r["j"]): r for r in csv.DictReader(text.splitlines())}
+    error = "Divergence: series 'A': order-1 differences overflow float64"
+    assert [k for k, r in rows.items() if r["error"] == error] == [
+        ("A", "B"), ("B", "A"), ("A", "C"), ("C", "A")
+    ]
+    assert all(rows[k]["error"] == "" and rows[k]["ssad"] != "" for k in [("B", "C"), ("C", "B")])
+    capsys.readouterr()
+    assert cli.main(["ssad", csv_path, "--x", "A", "--y", "B", *flags]) == 2
+    assert capsys.readouterr().err == "error: series 'A': order-1 differences overflow float64\n"
 
 
 def test_cli_ccm_on_a_short_csv_is_a_pair_error(tmp_path, capsys):
@@ -753,6 +782,20 @@ def test_cli_out_of_memory_is_a_data_error_without_traceback(
     monkeypatch.setattr(cli.sio, "read_csv", fail)
     assert cli.main(["tssavr", str(csv_path), "--x", "A", "--y", "B"]) == 2
     assert capsys.readouterr().err == err
+
+
+def test_cli_reads_only_a_channel_lookup_as_a_missing_channel(tmp_path, capsys, monkeypatch):
+    # A KeyError from inside a command is a fault of the program, not of the
+    # input: it leaves main as it is, not as "no channel named ...".
+    def fail(*args, **kwargs):
+        raise KeyError("X")
+
+    csv_path = tmp_path / "two.csv"
+    csv_path.write_text("A,B\n1,2\n2,1\n3,3\n")
+    monkeypatch.setattr(cli, "discover", fail)
+    with pytest.raises(KeyError):
+        cli.main(["analyze", str(csv_path), "--out", str(tmp_path / "o")])
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_module_entry_point_smoke():

@@ -82,9 +82,9 @@ def _rule_cases():
     """Per input rule: the owner's error type and text, and a call through
     each public entry point that breaks the rule."""
     from sigarea import (
-        ccm_many, confidence_band, difference, gen_two_species_bidir, granger_many,
-        multiplier, null_ensemble, shift_profile, signature_depth2, signed_area,
-        ssad_pair_detail,
+        ShiftProfile, ccm_many, confidence_band, difference, gen_two_species_bidir,
+        granger_many, multiplier, null_ensemble, shift_profile, signature_depth2,
+        signed_area, ssad_pair_detail, ts_savr,
     )
     from sigarea.signature import check_windows
 
@@ -124,6 +124,10 @@ def _rule_cases():
         "equal_lengths": (LengthMismatch, "series lengths differ: 'a' 50 vs 'c' 49", [
             lambda: check_windows(a, c, 5, 1), lambda: granger_many(a, [b, c], 3),
             lambda: ccm_many([a, b], c), lambda: shift_profile(a, c),
+        ]),
+        "tau_sides": (ValueError, "variance ratio needs at least 2 shifts on each side of zero", [
+            lambda: RunConfig(tau_min=2, tau_max=9), lambda: shift_profile(a, b, 2, 9),
+            lambda: ts_savr(ShiftProfile(("a", "b"), (-1, 1, 2), {-1: 0.5, 1: 1.0, 2: 2.0})),
         ]),
         "shift_overlap": (ShiftTooLarge, "|tau| = 7 leaves 1 of 8 samples aligned, fewer than 2", [
             lambda: shift_profile(a8, b8, -3, 7), lambda: shift_profile(b8, a8, -7, 3),
@@ -827,3 +831,46 @@ def test_an_inline_run_does_not_import_multiprocessing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_ssad_tssavr_and_traces_do_not_depend_on_the_blas_core():
+    # The band test, TS-SAVR and the traces call no BLAS kernel, so the
+    # report keeps its bytes under every OpenBLAS core; a GEMM or np.dot
+    # on those paths would tie them to the CPU.  Granger's lstsq goes
+    # through the BLAS, and its p-values are the positive control: where
+    # OPENBLAS_CORETYPE moves none of their bits, the override took no
+    # effect and the test shows nothing.
+    import os
+    import subprocess
+    import sys
+
+    import sigarea
+
+    script = (
+        "import hashlib, os, tempfile\n"
+        "from sigarea import RunConfig, discover, gen_four_species, granger_many, write_report\n"
+        "panel = gen_four_species(1000)\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    write_report(discover(panel, RunConfig(n_shuffles=50)), out)\n"
+        "    report = hashlib.sha256()\n"
+        "    for name in sorted(os.listdir(out)):\n"
+        "        with open(os.path.join(out, name), 'rb') as f:\n"
+        "            report.update(name.encode() + b'\\0' + f.read())\n"
+        "x, *ys = panel.series\n"
+        "p = [v.hex() for r in granger_many(x, ys) for v in r.per_lag_p.values()]\n"
+        "print(report.hexdigest(), hashlib.sha256(' '.join(p).encode()).hexdigest())\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(sigarea.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = package_root
+    digests = {}
+    for core in (None, "Haswell", "Prescott"):
+        env = base if core is None else dict(base, OPENBLAS_CORETYPE=core)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[core] = proc.stdout.split()
+    if len({granger for _, granger in digests.values()}) == 1:
+        pytest.skip("OPENBLAS_CORETYPE moved no Granger bit: no core override took effect")
+    assert len({report for report, _ in digests.values()}) == 1, digests

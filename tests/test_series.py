@@ -3,6 +3,7 @@ import pytest
 
 from sigarea import (
     ConstantSeries,
+    Divergence,
     EmptyRange,
     LengthMismatch,
     NonMonotonicTime,
@@ -115,6 +116,20 @@ def test_difference_inverts_by_cumsum():
 def test_difference_too_short():
     with pytest.raises(TooShort):
         difference(Series("s", [1.0, 2.0]), 2)
+
+
+def test_difference_past_float64_is_a_data_error():
+    # 1e308 - (-1e308) overflows; a second order turns inf - inf into NaN.
+    # Both are data errors naming the channel and the order, with no
+    # numpy warning (the test run turns warnings into errors).
+    values = [1e308, -1e308, 1e308, 0.0]
+    for order in (1, 2):
+        with pytest.raises(Divergence) as caught:
+            difference(Series("A", values), order)
+        assert str(caught.value) == f"series 'A': order-{order} differences overflow float64"
+    # Differences that stay finite keep np.diff's values, near the limit too.
+    near = [1e308, -7e307, 5.0]
+    assert np.array_equal(difference(Series("A", near), 1).values, np.diff(near))
 
 
 def test_interpolate_uniform_examples():
